@@ -7,6 +7,8 @@
 //                     batched_ticks, batches, batched_frac },
 //     "tick_bench_traced": { ..., events, dropped, overhead_pct },
 //     "tick_bench_managed": { ..., fault_overhead_pct },
+//     "tick_bench_linux": { ticks, wall_s, ticks_per_sec, allocs,
+//                           allocs_per_tick, batched_ticks, batches },
 //     "sweep":      { seeds, runs, serial_wall_s, parallel_wall_s, workers,
 //                     speedup, results_identical }
 //   }
@@ -20,6 +22,9 @@
 //   covers the tracing-off hook; tick_bench_traced repeats the bench with
 //   the tracer enabled (events land in the preallocated ring, so it must
 //   stay allocation-free too) and reports the wall-clock overhead.
+//   tick_bench_managed and tick_bench_linux drive the CPU-manager path and
+//   the Linux 2.4 baseline (Fig. 2A set); --smoke asserts both stay
+//   allocation-free, and that the Linux baseline batches its quiet ticks.
 // * sweep runs the same multi-seed improvement sweep twice — through the
 //   serial reference path and through the ThreadPool-backed harness — and
 //   reports both wall clocks. The two must produce bit-identical statistics
@@ -101,22 +106,8 @@ struct TickBench {
   std::uint64_t dropped = 0;  ///< traced variant only
 };
 
-/// Single-engine microbench: one barriered application + two BBMA streamers
-/// (the Fig.-1 contention set) stepped `ticks` times with OS noise active,
-/// so the barrier, saturation and noise paths all run. The tracer (disabled
-/// or enabled) is attached before the measured region; its ring is
-/// preallocated, so neither mode may allocate per tick.
-TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled) {
-  experiments::ExperimentConfig cfg;
-  const auto w = workload::fig1_with_bbma(
-      workload::paper_application("Raytrace"), cfg.machine.bus);
-  sim::Engine engine(
-      cfg.machine, cfg.engine,
-      experiments::make_scheduler(experiments::SchedulerKind::kPinned, cfg));
-  obs::Tracer tracer({.enabled = trace_enabled});
-  engine.set_tracer(&tracer);
-  for (const auto& spec : w.jobs) engine.add_job(spec);
-
+/// Warms `engine` up, then times run_until over `ticks` more ticks.
+TickBench measure_run(sim::Engine& engine, std::uint64_t ticks) {
   // Warm up: scratch buffers reach steady-state capacity, placements settle.
   for (int i = 0; i < 512; ++i) engine.step();
   // Also warm the batch-replay scratch (step() never batches): one short
@@ -149,6 +140,26 @@ TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled) {
           : 0.0;
   out.batched_ticks = engine.stats().batched_ticks - batched_before;
   out.batches = engine.stats().batches - batches_before;
+  return out;
+}
+
+/// Single-engine microbench: one barriered application + two BBMA streamers
+/// (the Fig.-1 contention set) stepped `ticks` times with OS noise active,
+/// so the barrier, saturation and noise paths all run. The tracer (disabled
+/// or enabled) is attached before the measured region; its ring is
+/// preallocated, so neither mode may allocate per tick.
+TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled) {
+  experiments::ExperimentConfig cfg;
+  const auto w = workload::fig1_with_bbma(
+      workload::paper_application("Raytrace"), cfg.machine.bus);
+  sim::Engine engine(
+      cfg.machine, cfg.engine,
+      experiments::make_scheduler(experiments::SchedulerKind::kPinned, cfg));
+  obs::Tracer tracer({.enabled = trace_enabled});
+  engine.set_tracer(&tracer);
+  for (const auto& spec : w.jobs) engine.add_job(spec);
+
+  TickBench out = measure_run(engine, ticks);
   out.events = tracer.events().size();
   out.dropped = tracer.dropped();
   return out;
@@ -172,33 +183,24 @@ TickBench bench_managed_ticks(std::uint64_t ticks, bool faults_enabled) {
   engine.set_tracer(&tracer);
   for (const auto& spec : w.jobs) engine.add_job(spec);
 
-  for (int i = 0; i < 512; ++i) engine.step();
-  // Also warm the batch-replay scratch (step() never batches): one short
-  // run_until lets those vectors reach steady capacity before measuring.
-  engine.run_until(engine.now() + 2048 * engine.config().tick_us);
+  return measure_run(engine, ticks);
+}
 
-  const sim::SimTime until =
-      engine.now() + ticks * engine.config().tick_us;
-  const std::uint64_t ticks_before = engine.stats().total_ticks;
-  const std::uint64_t batched_before = engine.stats().batched_ticks;
-  const std::uint64_t batches_before = engine.stats().batches;
-  const std::uint64_t allocs_before =
-      g_allocs.load(std::memory_order_relaxed);
-  const auto start = Clock::now();
-  engine.run_until(until);
-  TickBench out;
-  out.wall_s = seconds_since(start);
-  out.ticks = engine.stats().total_ticks - ticks_before;
-  out.allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  out.ticks_per_sec =
-      out.wall_s > 0.0 ? static_cast<double>(out.ticks) / out.wall_s : 0.0;
-  out.allocs_per_tick =
-      out.ticks > 0
-          ? static_cast<double>(out.allocs) / static_cast<double>(out.ticks)
-          : 0.0;
-  out.batched_ticks = engine.stats().batched_ticks - batched_before;
-  out.batches = engine.stats().batches - batches_before;
-  return out;
+/// Linux-baseline variant: the Fig. 2A set (two MG instances + four BBMA,
+/// bus saturated) under the Linux 2.4 model. Its quiet ticks batch between
+/// slice expiries and wakeups; --smoke asserts that they do and that the
+/// scheduler's catch-up stays allocation-free.
+TickBench bench_linux_ticks(std::uint64_t ticks) {
+  experiments::ExperimentConfig cfg;
+  const auto w = workload::fig2_saturated(workload::paper_application("MG"),
+                                          cfg.machine.bus);
+  sim::Engine engine(
+      cfg.machine, cfg.engine,
+      experiments::make_scheduler(experiments::SchedulerKind::kLinux, cfg));
+  obs::Tracer tracer({.enabled = false});
+  engine.set_tracer(&tracer);
+  for (const auto& spec : w.jobs) engine.add_job(spec);
+  return measure_run(engine, ticks);
 }
 
 struct SweepBench {
@@ -276,6 +278,7 @@ int main(int argc, char** argv) {
   const TickBench tt = bench_ticks(ticks, /*trace_enabled=*/true);
   const TickBench tm = bench_managed_ticks(ticks, /*faults_enabled=*/false);
   const TickBench tf = bench_managed_ticks(ticks, /*faults_enabled=*/true);
+  const TickBench tl = bench_linux_ticks(ticks);
   const SweepBench sb = bench_sweep(seeds, workers, sweep_scale);
 
   const double overhead_pct =
@@ -298,6 +301,10 @@ int main(int argc, char** argv) {
       "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
       "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
       "\"batches\": %llu, \"fault_overhead_pct\": %.2f},\n"
+      "  \"tick_bench_linux\": {\"ticks\": %llu, \"wall_s\": %.6f, "
+      "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
+      "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
+      "\"batches\": %llu},\n"
       "  \"sweep\": {\"seeds\": %d, \"runs\": %d, \"serial_wall_s\": %.6f, "
       "\"parallel_wall_s\": %.6f, \"workers\": %d, \"speedup\": %.3f, "
       "\"results_identical\": %s}\n"
@@ -320,6 +327,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(tm.batched_ticks),
       static_cast<unsigned long long>(tm.batches),
       fault_overhead_pct,
+      static_cast<unsigned long long>(tl.ticks), tl.wall_s, tl.ticks_per_sec,
+      static_cast<unsigned long long>(tl.allocs), tl.allocs_per_tick,
+      static_cast<unsigned long long>(tl.batched_ticks),
+      static_cast<unsigned long long>(tl.batches),
       sb.seeds, sb.runs, sb.serial_wall_s, sb.parallel_wall_s, sb.workers,
       sb.speedup, sb.results_identical ? "true" : "false");
 
@@ -354,6 +365,20 @@ int main(int argc, char** argv) {
                    "FAIL: managed tick path with disabled fault injection "
                    "allocates (%.4f allocs/tick, want ~0)\n",
                    tm.allocs_per_tick);
+      ok = false;
+    }
+    if (tl.allocs_per_tick > 0.01) {
+      std::fprintf(stderr,
+                   "FAIL: Linux-baseline tick path allocates (%.4f "
+                   "allocs/tick, want ~0)\n",
+                   tl.allocs_per_tick);
+      ok = false;
+    }
+    if (tl.batched_ticks == 0) {
+      std::fprintf(stderr,
+                   "FAIL: Linux baseline never batches (0 of %llu ticks "
+                   "batched)\n",
+                   static_cast<unsigned long long>(tl.ticks));
       ok = false;
     }
     if (!sb.results_identical) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace bbsched::linuxsched {
 
@@ -101,15 +102,24 @@ void LinuxScheduler::tick(Machine& m, sim::SimTime now,
   was_blocked_.resize(m.threads().size(), false);
 
   // Charge the tasks that ran since the previous invocation (the engine
-  // calls us once per tick, before executing it).
-  const double elapsed =
-      has_last_now_ ? static_cast<double>(now - last_now_) : 0.0;
+  // calls us once per tick, before executing it). A gap of k steps means
+  // the engine batched past k - 1 quiet ticks (quiescent_until promised
+  // they only charge counters): charge one step k times, since a single
+  // c -= k * step rounds differently once c is far enough below zero.
+  const sim::SimTime gap = has_last_now_ ? now - last_now_ : 0;
   last_now_ = now;
   has_last_now_ = true;
+  if (step_ == 0) step_ = gap;
+  sim::SimTime charges = 1;
+  double elapsed = static_cast<double>(gap);
+  if (step_ != 0 && gap > step_ && gap % step_ == 0) {
+    charges = gap / step_;
+    elapsed = static_cast<double>(step_);
+  }
   for (auto& cpu : m.cpus()) {
-    if (cpu.thread != Cpu::kIdle) {
-      counters_[static_cast<std::size_t>(cpu.thread)] -= elapsed;
-    }
+    if (cpu.thread == Cpu::kIdle) continue;
+    double& c = counters_[static_cast<std::size_t>(cpu.thread)];
+    for (sim::SimTime k = 0; k < charges; ++k) c -= elapsed;
   }
 
   maybe_epoch_refill(m);
@@ -162,6 +172,65 @@ void LinuxScheduler::tick(Machine& m, sim::SimTime now,
                    best, cpu, 0.0});
     }
   }
+}
+
+sim::SimTime LinuxScheduler::quiescent_until(const Machine& m,
+                                             sim::SimTime now) const {
+  // Mirror tick(): every branch that would do more than charge counters
+  // pins the promise to `now`. Placements and states are frozen in the
+  // interim, so only the running tasks' counters move.
+  if (!has_last_now_ || step_ == 0 || now <= last_now_ ||
+      (now - last_now_) % step_ != 0) {
+    return now;
+  }
+  const std::size_t n = m.threads().size();
+  if (counters_.size() < n || was_blocked_.size() < n) return now;
+
+  bool any_ready = false;
+  bool unplaced_ready = false;
+  bool unplaced_with_slice = false;
+  for (const auto& t : m.threads()) {
+    const auto idx = static_cast<std::size_t>(t.id);
+    if (was_blocked_[idx] != (t.state == ThreadState::kBarrierWait)) {
+      return now;  // a wakeup (or a new block) is pending
+    }
+    if (t.state != ThreadState::kReady) continue;
+    any_ready = true;
+    if (m.cpu_of(t.id) == -1) {
+      unplaced_ready = true;
+      if (counters_[idx] > 0.0) unplaced_with_slice = true;
+    }
+  }
+
+  // The tick at `now` applies `charges` charges; the n-th charge of a
+  // positive counter c leaves c - n * step exactly (each subtraction is
+  // exact while the result is non-negative), so the charge that exhausts it
+  // is the least n with n * step >= c.
+  const sim::SimTime charges = (now - last_now_) / step_;
+  const auto step = static_cast<double>(step_);
+  bool running_keeps_slice = false;
+  sim::SimTime horizon = sim::kForever;
+  for (const auto& cpu : m.cpus()) {
+    if (cpu.thread == Cpu::kIdle) {
+      if (unplaced_ready) return now;  // the idle CPU would pull it
+      continue;
+    }
+    const double c = counters_[static_cast<std::size_t>(cpu.thread)];
+    if (c <= 0.0) {
+      // Exhausted but kept: any runnable thread with slice left wins.
+      if (unplaced_with_slice) return now;
+      continue;
+    }
+    // c / step can round down onto an integer, never up past one.
+    auto expiry = static_cast<sim::SimTime>(std::ceil(c / step));
+    if (static_cast<double>(expiry * step_) < c) ++expiry;
+    if (expiry <= charges) return now;  // the slice expires at `now`
+    running_keeps_slice = true;
+    horizon = std::min(horizon, last_now_ + expiry * step_);
+  }
+  // Every ready thread out of slice: the next tick refills the epoch.
+  if (any_ready && !running_keeps_slice) return now;
+  return horizon;
 }
 
 }  // namespace bbsched::linuxsched

@@ -48,12 +48,24 @@ class LinuxScheduler final : public sim::Scheduler {
   explicit LinuxScheduler(LinuxSchedConfig cfg = {}) : cfg_(cfg) {}
 
   void start(sim::Machine& m, trace::ScheduleTrace& trace) override;
+  /// Charges the tasks that ran since the previous call, then refills,
+  /// wakes and reschedules. A gap of k engine steps (quiet ticks the engine
+  /// batched past) is charged one step at a time, k times over, so the
+  /// counters match k single-step calls bit for bit.
   void tick(sim::Machine& m, sim::SimTime now,
             trace::ScheduleTrace& trace) override;
 
+  /// The first tick at which tick() would do more than charge counters: a
+  /// pending wakeup, an idle CPU or an exhausted task facing a better
+  /// runnable thread, an epoch refill, or else the earliest slice expiry
+  /// among the running tasks. `now` until the engine step is known.
+  [[nodiscard]] sim::SimTime quiescent_until(const sim::Machine& m,
+                                             sim::SimTime now) const override;
+
   [[nodiscard]] const char* name() const override { return "linux-2.4"; }
 
-  /// Remaining timeslice of a thread (µs); exposed for tests.
+  /// Remaining timeslice of a thread (µs) as of the latest tick() call;
+  /// exposed for tests. Charges for batched ticks land at the next tick().
   [[nodiscard]] double counter(int tid) const {
     return counters_.at(static_cast<std::size_t>(tid));
   }
@@ -82,6 +94,9 @@ class LinuxScheduler final : public sim::Scheduler {
   std::uint64_t epochs_ = 0;
   sim::SimTime last_now_ = 0;
   bool has_last_now_ = false;
+  /// Engine step, learned from the first nonzero gap between tick() calls
+  /// (0 until then).
+  sim::SimTime step_ = 0;
   stats::Rng rng_{1337};
 };
 

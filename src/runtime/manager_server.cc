@@ -72,6 +72,13 @@ std::uint64_t monotonic_now_us() {
   return faults::sys::clock_monotonic_us();
 }
 
+::timespec poll_timeout(std::uint64_t remaining_us) noexcept {
+  ::timespec ts{};
+  ts.tv_sec = static_cast<::time_t>(remaining_us / 1'000'000);
+  ts.tv_nsec = static_cast<long>(remaining_us % 1'000'000) * 1000;
+  return ts;
+}
+
 ManagerServer::ManagerServer(const ServerConfig& cfg)
     : cfg_(cfg), manager_(cfg.manager) {
   if (cfg_.nprocs <= 0) {
@@ -866,22 +873,19 @@ void ManagerServer::loop() {
     } else {
       next_event = quantum_start_us_ + quantum;
     }
-    int timeout_ms =
-        next_event > now
-            ? static_cast<int>((next_event - now) / 1000 + 1)
-            : 0;
+    // Wait exactly until the next event: should a wake land early, the
+    // loop re-polls for the remainder, never for an extra millisecond.
+    std::uint64_t wait_us = next_event > now ? next_event - now : 0;
 
     std::vector<pollfd> fds;
     fds.push_back({listen_fd_, POLLIN, 0});
     if (accept_retry_at_us_ > now) {
       // Accept backoff: a hard accept() failure (EMFILE/ENFILE) leaves the
-      // listen fd permanently readable. Park it — poll ignores negative
+      // listen fd permanently readable. Park it — ppoll ignores negative
       // fds — until the backoff expires, but wake no later than expiry so
       // a freed descriptor is picked up promptly.
       fds[0].fd = -1;
-      const int backoff_ms =
-          static_cast<int>((accept_retry_at_us_ - now) / 1000 + 1);
-      if (backoff_ms < timeout_ms) timeout_ms = backoff_ms;
+      wait_us = std::min(wait_us, accept_retry_at_us_ - now);
     }
     fds.push_back({wake_pipe_[0], POLLIN, 0});
     {
@@ -889,7 +893,8 @@ void ManagerServer::loop() {
       for (const auto& app : apps_) fds.push_back({app->sock, POLLIN, 0});
     }
 
-    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    const ::timespec timeout = poll_timeout(wait_us);
+    const int rc = ::ppoll(fds.data(), fds.size(), &timeout, nullptr);
     if (rc < 0 && errno != EINTR) return;
 
     if (rc > 0) {

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -285,5 +286,10 @@ class ManagerServer {
 
 /// Monotonic clock in microseconds.
 [[nodiscard]] std::uint64_t monotonic_now_us();
+
+/// ppoll() timeout for a deadline `remaining_us` away: exactly that long
+/// (zero when already due). poll() would round up to whole milliseconds
+/// and overshoot every sample and quantum wait by up to 1 ms.
+[[nodiscard]] ::timespec poll_timeout(std::uint64_t remaining_us) noexcept;
 
 }  // namespace bbsched::runtime

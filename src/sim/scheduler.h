@@ -30,15 +30,17 @@ class Scheduler {
   virtual void tick(Machine& machine, SimTime now,
                     trace::ScheduleTrace& trace) = 0;
 
-  /// Latest time T such that every tick() call at a time in [now, T) is
-  /// guaranteed to be a no-op — neither mutating the machine nor any
-  /// scheduler-internal state — PROVIDED thread states, placements and the
-  /// job set do not change in the interim. The engine uses this to batch
-  /// event-free ticks (DESIGN.md §11); any event that could invalidate the
-  /// premise ends the batch and resumes per-tick stepping. The conservative
-  /// default (`now`) declares the scheduler never quiescent, which disables
-  /// batching for implementations that do not opt in (LinuxScheduler's
-  /// timeslice accounting mutates state every tick, for example).
+  /// Latest time T such that skipping the tick() calls at times in
+  /// [now, T) and calling tick(T) directly leaves the same state — machine
+  /// and scheduler-internal — as calling each of them, PROVIDED thread
+  /// states, placements and the job set do not change in the interim. A
+  /// scheduler whose skipped ticks would only have accumulated something
+  /// (a timeslice charge, say) catches up on its own in tick(T). The engine
+  /// uses this to batch event-free ticks (DESIGN.md §11); any event that
+  /// could invalidate the premise ends the batch and resumes per-tick
+  /// stepping. The conservative default (`now`) declares the scheduler
+  /// never quiescent, which disables batching for implementations that do
+  /// not opt in.
   [[nodiscard]] virtual SimTime quiescent_until(const Machine& machine,
                                                 SimTime now) const {
     (void)machine;

@@ -4,6 +4,8 @@
 // per tick (max_batch_ticks = 1). The workloads are chosen to cross every
 // event class mid-run: open-system arrivals, OS-noise window boundaries,
 // spin-grace expiry, I/O issue/wake edges, barrier wake-ups and completions.
+// The Linux-baseline runs also compare the scheduler's own state (timeslice
+// counters, epoch refills), which it catches up on after each batch.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +14,7 @@
 
 #include "core/managed_scheduler.h"
 #include "experiments/runner.h"
+#include "linuxsched/linux_sched.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
 #include "workload/demand_models.h"
@@ -41,6 +44,8 @@ struct RunSnapshot {
   std::vector<SimTime> completions;
   std::vector<trace::Event> events;
   std::vector<trace::RunInterval> intervals;
+  std::vector<double> sched_counters;  ///< LinuxScheduler runs only
+  std::uint64_t sched_epochs = 0;      ///< LinuxScheduler runs only
 };
 
 struct RunSpec {
@@ -61,6 +66,12 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   for (const auto& spec : s.jobs) eng.add_job(spec);
   for (const auto& [when, spec] : s.arrivals) eng.submit_job(spec, when);
   eng.run_until(s.until);
+  // The Linux baseline charges the ticks a batch skipped at its next
+  // tick(); one more full step lands those charges in both runs, so the
+  // counters are comparable.
+  const auto* linux_sched =
+      dynamic_cast<const linuxsched::LinuxScheduler*>(&eng.scheduler());
+  if (linux_sched != nullptr) eng.step();
 
   RunSnapshot out;
   out.end = eng.now();
@@ -89,6 +100,12 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   }
   out.events = eng.trace().events();
   out.intervals = eng.trace().intervals();
+  if (linux_sched != nullptr) {
+    for (const auto& t : eng.machine().threads()) {
+      out.sched_counters.push_back(linux_sched->counter(t.id));
+    }
+    out.sched_epochs = linux_sched->epochs();
+  }
   return out;
 }
 
@@ -121,6 +138,11 @@ void expect_identical(const RunSnapshot& a, const RunSnapshot& b) {
     EXPECT_EQ(a.intervals[i].thread_id, b.intervals[i].thread_id);
     EXPECT_EQ(a.intervals[i].cpu, b.intervals[i].cpu);
   }
+  ASSERT_EQ(a.sched_counters.size(), b.sched_counters.size());
+  for (std::size_t i = 0; i < a.sched_counters.size(); ++i) {
+    EXPECT_EQ(a.sched_counters[i], b.sched_counters[i]) << "counter #" << i;
+  }
+  EXPECT_EQ(a.sched_epochs, b.sched_epochs);
 }
 
 std::unique_ptr<sim::Scheduler> pinned() {
@@ -132,6 +154,10 @@ std::unique_ptr<sim::Scheduler> managed() {
   mcfg.overhead_base_us = 300;
   mcfg.overhead_per_app_us = 50;
   return std::make_unique<core::ManagedScheduler>(mcfg);
+}
+
+std::unique_ptr<sim::Scheduler> linux_baseline() {
+  return std::make_unique<linuxsched::LinuxScheduler>();
 }
 
 // The Fig.-1 contention set under a pinned scheduler with OS noise: the
@@ -244,6 +270,80 @@ TEST(Batching, RandomizedMixesAreBitIdentical) {
       SCOPED_TRACE("managed seed " + std::to_string(seed));
       expect_identical(batched, stepped);
     }
+  }
+}
+
+// The Linux 2.4 baseline on the paper's Fig. 2 sets at the default engine
+// configuration (OS noise on, jittered slices): batches end at slice
+// expiries, wakeups and epoch refills, and the scheduler charges the skipped
+// ticks itself — including exhausted-but-kept tasks, whose negative
+// counters must be charged one step at a time.
+TEST(Batching, LinuxBaselineFig2SetsAreBitIdentical) {
+  using Builder = workload::Workload (*)(const workload::AppProfile&,
+                                         const sim::BusConfig&);
+  const std::pair<const char*, Builder> sets[] = {
+      {"2A", &workload::fig2_saturated},
+      {"2B", &workload::fig2_idle_bus},
+      {"2C", &workload::fig2_mixed}};
+  for (const char* app : {"MG", "Raytrace", "LU-CB", "Volrend"}) {
+    for (const auto& [label, build] : sets) {
+      RunSpec s;
+      s.jobs = build(workload::paper_application(app), s.machine.bus).jobs;
+      s.until = 3'000'000;
+      const RunSnapshot batched = run(s, linux_baseline(), 4096);
+      const RunSnapshot stepped = run(s, linux_baseline(), 1);
+      SCOPED_TRACE(std::string("Fig. ") + label + " " + app);
+      EXPECT_GT(batched.batched_ticks, 0u) << "batching never engaged";
+      EXPECT_EQ(stepped.batched_ticks, 0u);
+      EXPECT_GT(batched.sched_epochs, 0u);
+      expect_identical(batched, stepped);
+    }
+  }
+}
+
+// Open-system arrivals land inside what would otherwise be one long Linux
+// batch (no OS noise); the newcomers get fresh slices at admission.
+TEST(Batching, LinuxBaselineArrivalsMidBatchAreBitIdentical) {
+  RunSpec s;
+  s.engine.os_noise_interval_us = 0;
+  JobSpec base;
+  base.name = "base";
+  base.nthreads = 4;
+  base.work_us = 900'000.0;
+  base.barrier_interval_us = 40'000.0;
+  base.demand = std::make_shared<sim::SteadyDemand>(5.0);
+  base.cache.cold_demand_boost = 0.0;
+  base.cache.migration_sensitivity = 0.0;
+  JobSpec solo = base;
+  solo.name = "solo";
+  solo.nthreads = 1;
+  solo.barrier_interval_us = 0.0;
+  s.jobs = {base, solo};
+  JobSpec late = solo;
+  late.name = "late";
+  late.work_us = 200'000.0;
+  s.arrivals = {{137'000, late}, {512'000, late}};
+  s.until = 2'000'000;
+  const RunSnapshot batched = run(s, linux_baseline(), 4096);
+  const RunSnapshot stepped = run(s, linux_baseline(), 1);
+  EXPECT_GT(batched.batched_ticks, 0u);
+  expect_identical(batched, stepped);
+}
+
+// Randomized heterogeneous mixes under the Linux baseline, six seeds.
+TEST(Batching, LinuxBaselineRandomizedMixesAreBitIdentical) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RunSpec s;
+    s.engine.seed = seed;
+    const auto w =
+        workload::random_mix(2, seed % 3, (seed + 1) % 2, s.machine.bus, seed);
+    s.jobs = w.jobs;
+    s.until = 1'200'000;
+    const RunSnapshot batched = run(s, linux_baseline(), 4096);
+    const RunSnapshot stepped = run(s, linux_baseline(), 1);
+    SCOPED_TRACE("linux seed " + std::to_string(seed));
+    EXPECT_GT(batched.batched_ticks, 0u);
+    expect_identical(batched, stepped);
   }
 }
 

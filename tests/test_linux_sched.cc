@@ -1,12 +1,17 @@
 // Tests for the Linux 2.4 baseline scheduler model: timeslices, goodness
 // selection with cache affinity, epoch refill, idle stealing, and wake
-// placement (reschedule_idle).
+// placement (reschedule_idle), and the quiescence promise that lets the
+// engine batch past ticks which only charge timeslices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "linuxsched/linux_sched.h"
 #include "sim/engine.h"
+#include "stats/rng.h"
 
 namespace bbsched::linuxsched {
 namespace {
@@ -15,7 +20,9 @@ using sim::Engine;
 using sim::EngineConfig;
 using sim::JobSpec;
 using sim::MachineConfig;
+using sim::SimTime;
 using sim::SteadyDemand;
+using sim::ThreadState;
 
 EngineConfig quiet_engine() {
   EngineConfig e;
@@ -195,6 +202,256 @@ TEST(LinuxSched, ObliviousToBandwidth) {
       static_cast<double>(eng.machine().job(1).completion_us);
   (void)lifetime;
   EXPECT_GT(quiet_run, 0.5 * hog_run * 0.5);
+}
+
+// ---- quiescence and catch-up ---------------------------------------------
+// These drive the scheduler directly on a bare Machine (no engine), so the
+// test controls exactly which tick() calls happen.
+
+constexpr SimTime kStep = 1000;
+
+/// A machine plus a scheduler started on it; two rigs built alike evolve
+/// alike under the same calls.
+struct Rig {
+  sim::Machine m;
+  LinuxScheduler sched;
+  trace::ScheduleTrace trace{true};
+
+  Rig(int cpus, const std::vector<JobSpec>& jobs, const LinuxSchedConfig& cfg)
+      : m(machine_with(cpus)), sched(cfg) {
+    for (const auto& j : jobs) m.add_job(j);
+    sched.start(m, trace);
+  }
+  void tick(SimTime now) { sched.tick(m, now, trace); }
+
+  static MachineConfig machine_with(int cpus) {
+    MachineConfig mcfg;
+    mcfg.num_cpus = cpus;
+    return mcfg;
+  }
+};
+
+std::vector<int> placements(const sim::Machine& m) {
+  std::vector<int> out;
+  for (const auto& c : m.cpus()) out.push_back(c.thread);
+  return out;
+}
+
+std::vector<int> states(const sim::Machine& m) {
+  std::vector<int> out;
+  for (const auto& t : m.threads()) out.push_back(static_cast<int>(t.state));
+  return out;
+}
+
+/// Everything tick() may change besides the counters.
+void expect_same_schedule(const Rig& a, const Rig& b) {
+  EXPECT_EQ(placements(a.m), placements(b.m));
+  EXPECT_EQ(states(a.m), states(b.m));
+  EXPECT_EQ(a.sched.epochs(), b.sched.epochs());
+  ASSERT_EQ(a.trace.events().size(), b.trace.events().size());
+  for (std::size_t i = 0; i < a.trace.events().size(); ++i) {
+    EXPECT_EQ(a.trace.events()[i].thread_id, b.trace.events()[i].thread_id);
+    EXPECT_EQ(a.trace.events()[i].cpu, b.trace.events()[i].cpu);
+  }
+}
+
+void expect_same_counters(const Rig& a, const Rig& b) {
+  for (const auto& t : a.m.threads()) {
+    EXPECT_EQ(a.sched.counter(t.id), b.sched.counter(t.id))
+        << "thread " << t.id;  // bitwise
+  }
+}
+
+/// Two single-thread jobs on two CPUs: both run from the first tick, each
+/// with its own jittered (fractional) counter.
+std::vector<JobSpec> two_solo_jobs() {
+  return {cpu_job("a", 1, 1.0e9), cpu_job("b", 1, 1.0e9)};
+}
+
+/// First charge count n with c - n * step <= 0.
+SimTime expiry_step(double c) {
+  return static_cast<SimTime>(std::ceil(c / static_cast<double>(kStep)));
+}
+
+/// Runs `ref` one step at a time to `to` and `lazy` to `from`, then jumps
+/// `lazy` straight to `to`; the jump must be one the promise allows.
+void step_and_jump(Rig& ref, Rig& lazy, SimTime from, SimTime to) {
+  for (SimTime k = 0; k <= to; ++k) ref.tick(k * kStep);
+  for (SimTime k = 0; k <= from; ++k) lazy.tick(k * kStep);
+  EXPECT_GE(lazy.sched.quiescent_until(lazy.m, (from + 1) * kStep),
+            to * kStep)
+      << "the engine could not have batched this jump";
+  lazy.tick(to * kStep);
+}
+
+/// A configuration in which one task runs exhausted-but-kept from `from`
+/// to `to` (its sibling still has slice, so no epoch refill), deep enough
+/// into negative counters that charging the jump's steps one at a time
+/// rounds differently from a single bulk c -= k * step. Only a
+/// step-at-a-time catch-up can match the reference there.
+struct ExhaustedStretch {
+  LinuxSchedConfig cfg;
+  SimTime from = 0;
+  SimTime to = 0;
+};
+
+ExhaustedStretch exhausted_stretch() {
+  ExhaustedStretch out;
+  out.cfg.timeslice_us = 400 * sim::kUsPerMs;
+  out.cfg.initial_phase_min = 0.05;
+  const auto step = static_cast<double>(kStep);
+  for (std::uint64_t seed = 1; seed < 10'000; ++seed) {
+    out.cfg.seed = seed;
+    const Rig probe(2, two_solo_jobs(), out.cfg);
+    const double lo = std::min(probe.sched.counter(0), probe.sched.counter(1));
+    const double hi = std::max(probe.sched.counter(0), probe.sched.counter(1));
+    out.from = expiry_step(lo) + 1;
+    out.to = expiry_step(hi) - 1;
+    if (out.to < out.from + 100) continue;
+    double stepped = lo;
+    for (SimTime k = 0; k < out.from; ++k) stepped -= step;
+    const double bulk =
+        stepped - static_cast<double>(out.to - out.from) * step;
+    for (SimTime k = out.from; k < out.to; ++k) stepped -= step;
+    if (stepped != bulk) return out;
+  }
+  ADD_FAILURE() << "no seed separates stepped from bulk charging";
+  return out;
+}
+
+TEST(LinuxSched, CatchUpIsExactWhileCountersArePositive) {
+  const LinuxSchedConfig cfg;
+  Rig ref(2, two_solo_jobs(), cfg);
+  Rig lazy(2, two_solo_jobs(), cfg);
+  const double lo = std::min(ref.sched.counter(0), ref.sched.counter(1));
+  const SimTime to = expiry_step(lo) - 1;
+  ASSERT_GT(to, 3u);
+  step_and_jump(ref, lazy, 1, to);
+  EXPECT_GT(lazy.sched.counter(0), 0.0);
+  EXPECT_GT(lazy.sched.counter(1), 0.0);
+  expect_same_counters(ref, lazy);
+  expect_same_schedule(ref, lazy);
+}
+
+TEST(LinuxSched, CatchUpIsExactForExhaustedButKeptTasks) {
+  // The shorter slice runs out first; with no other runnable thread its
+  // task keeps the CPU with a negative counter until the longer one runs
+  // out too.
+  const ExhaustedStretch x = exhausted_stretch();
+  Rig ref(2, two_solo_jobs(), x.cfg);
+  Rig lazy(2, two_solo_jobs(), x.cfg);
+  step_and_jump(ref, lazy, x.from, x.to);
+  EXPECT_LT(std::min(lazy.sched.counter(0), lazy.sched.counter(1)), 0.0);
+  EXPECT_EQ(lazy.sched.epochs(), 0u);
+  expect_same_counters(ref, lazy);
+  expect_same_schedule(ref, lazy);
+}
+
+TEST(LinuxSched, CatchUpThatEndsOnAnEpochRefillIsExact) {
+  // The jump lands exactly on the tick at which the last slice runs out:
+  // the catch-up charges first, then that same tick refills the epoch.
+  const ExhaustedStretch x = exhausted_stretch();
+  Rig ref(2, two_solo_jobs(), x.cfg);
+  Rig lazy(2, two_solo_jobs(), x.cfg);
+  step_and_jump(ref, lazy, x.from, x.to + 1);
+  EXPECT_EQ(ref.sched.epochs(), 1u);
+  EXPECT_GT(lazy.sched.counter(0), 0.0);
+  EXPECT_GT(lazy.sched.counter(1), 0.0);
+  expect_same_counters(ref, lazy);
+  expect_same_schedule(ref, lazy);
+}
+
+TEST(LinuxSched, NoPromiseBeforeTheStepIsKnown) {
+  Rig rig(2, two_solo_jobs(), LinuxSchedConfig{});
+  rig.tick(0);
+  EXPECT_EQ(rig.sched.quiescent_until(rig.m, kStep), kStep);
+  rig.tick(kStep);
+  EXPECT_GT(rig.sched.quiescent_until(rig.m, 2 * kStep), 2 * kStep);
+}
+
+// Random small machines with random engine-like events between ticks. A
+// reference scheduler ticks every step; a lazy one skips every tick its own
+// promise covers, exactly as the engine does. No skipped tick may change a
+// placement, a state, a trace event or the epoch count, and at every tick
+// the lazy scheduler does take, its whole state must match the reference
+// bit for bit. As in the engine, a block (which vacates the CPU) or an I/O
+// wake follows a fully executed tick, while a barrier wake-up may follow a
+// skipped one.
+TEST(LinuxSched, QuiescencePromiseHoldsOnRandomMachines) {
+  stats::Rng rng(0x11a5e);
+  std::uint64_t skipped = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int cpus = 1 + static_cast<int>(rng.below(4));
+    std::vector<JobSpec> jobs;
+    const auto njobs = 1 + rng.below(4);
+    for (std::uint64_t j = 0; j < njobs; ++j) {
+      jobs.push_back(
+          cpu_job("j", 1 + static_cast<int>(rng.below(3)), 1.0e9));
+    }
+    LinuxSchedConfig cfg;
+    cfg.seed = 1 + static_cast<std::uint64_t>(trial);
+    const SimTime slices[] = {3, 20, 100};
+    cfg.timeslice_us = slices[rng.below(3)] * sim::kUsPerMs;
+    Rig ref(cpus, jobs, cfg);
+    Rig lazy(cpus, jobs, cfg);
+    const auto nthreads = static_cast<std::uint64_t>(ref.m.threads().size());
+
+    SimTime resume = 0;  // lazy's next tick
+    for (SimTime k = 0; k < 1500; ++k) {
+      const SimTime now = k * kStep;
+      const int tid =
+          rng.uniform() < 0.02 ? static_cast<int>(rng.below(nthreads)) : -1;
+      const ThreadState from =
+          tid == -1 ? ThreadState::kDone : ref.m.thread(tid).state;
+      // Anything but a barrier wake-up follows a full tick.
+      if (tid != -1 && from != ThreadState::kBarrierWait) {
+        resume = std::min(resume, now);
+      }
+
+      const auto before_place = placements(ref.m);
+      const auto before_state = states(ref.m);
+      const std::size_t before_events = ref.trace.events().size();
+      const std::uint64_t before_epochs = ref.sched.epochs();
+      ref.tick(now);
+      SCOPED_TRACE("trial " + std::to_string(trial) + " tick " +
+                   std::to_string(k));
+      const bool lazy_ticks = now >= resume;
+      if (lazy_ticks) {
+        lazy.tick(now);
+        expect_same_counters(ref, lazy);
+        expect_same_schedule(ref, lazy);
+        if (HasFailure()) return;
+      } else {
+        ++skipped;
+        ASSERT_EQ(placements(ref.m), before_place);
+        ASSERT_EQ(states(ref.m), before_state);
+        ASSERT_EQ(ref.trace.events().size(), before_events);
+        ASSERT_EQ(ref.sched.epochs(), before_epochs);
+      }
+
+      // The engine event, on both machines alike.
+      if (tid != -1) {
+        const bool io = rng.uniform() < 0.3;
+        for (Rig* r : {&ref, &lazy}) {
+          auto t = r->m.thread(tid);
+          if (from == ThreadState::kReady) {
+            const int cpu = r->m.cpu_of(tid);
+            if (cpu != -1) r->m.vacate(cpu);
+            t.state = io ? ThreadState::kIoWait : ThreadState::kBarrierWait;
+          } else {
+            t.state = ThreadState::kReady;
+          }
+        }
+      }
+      // The event voids the promise in flight; ask afresh, as the engine
+      // may at any tick.
+      if (tid != -1 || lazy_ticks) {
+        resume = lazy.sched.quiescent_until(lazy.m, now + kStep);
+        ASSERT_GE(resume, now + kStep);
+      }
+    }
+  }
+  EXPECT_GT(skipped, 10'000u) << "the promise almost never held";
 }
 
 }  // namespace

@@ -62,6 +62,27 @@ int raw_connect(const std::string& path) {
   return sock;
 }
 
+// The manager loop's wait is the exact time to its next event: no
+// rounding up to whole milliseconds, so a 20 ms quantum lasts 20 ms.
+TEST(ManagerServerPollTimeout, WaitsExactlyTheRemainingTime) {
+  const ::timespec due = poll_timeout(0);
+  EXPECT_EQ(due.tv_sec, 0);
+  EXPECT_EQ(due.tv_nsec, 0);
+
+  const ::timespec tiny = poll_timeout(1);
+  EXPECT_EQ(tiny.tv_sec, 0);
+  EXPECT_EQ(tiny.tv_nsec, 1000);
+
+  // An exact multiple of a millisecond adds nothing.
+  const ::timespec sample = poll_timeout(10'000);
+  EXPECT_EQ(sample.tv_sec, 0);
+  EXPECT_EQ(sample.tv_nsec, 10'000'000);
+
+  const ::timespec long_wait = poll_timeout(2'000'001);
+  EXPECT_EQ(long_wait.tv_sec, 2);
+  EXPECT_EQ(long_wait.tv_nsec, 1000);
+}
+
 TEST_F(ManagerServerTest, StartStop) {
   ServerConfig cfg;
   cfg.socket_path = test_socket_path();
