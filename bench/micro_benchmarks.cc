@@ -38,6 +38,39 @@ void BM_BusResolveSaturated(benchmark::State& state) {
 }
 BENCHMARK(BM_BusResolveSaturated)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
+// The engine's shape of call: the workspace overload on a mixed agent set,
+// with one demand nudged every tick so no two solves see the same input.
+// Identical agents (above) let the saturated root search finish in one
+// Newton step; mixed ones do not. Agent 0 is an MG thread (10.2 trans/µs);
+// so is every other agent when `alternate_mg`; the rest are `other`.
+void resolve_mixed_ws(benchmark::State& state, bool alternate_mg,
+                      double other_demand, double other_weight) {
+  const sim::BusModel model((sim::BusConfig()));
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> demands(n, other_demand);
+  std::vector<double> weights(n, other_weight);
+  for (std::size_t i = 0; i < n; i += alternate_mg ? 2 : n) {
+    demands[i] = 10.2;
+    weights[i] = 1.0;
+  }
+  sim::BusWorkspace ws;
+  unsigned k = 0;
+  for (auto _ : state) {
+    demands[0] = 10.2 + 0.001 * static_cast<double>(++k & 15u);
+    benchmark::DoNotOptimize(model.resolve(demands, weights, ws).stretch);
+  }
+}
+
+void BM_BusResolveSaturatedWs(benchmark::State& state) {
+  resolve_mixed_ws(state, true, 23.6, 1.5);  // MG + BBMA threads
+}
+BENCHMARK(BM_BusResolveSaturatedWs)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_BusResolveUnsaturatedWs(benchmark::State& state) {
+  resolve_mixed_ws(state, false, 0.0037, 1.0);  // one MG + nBBMA threads
+}
+BENCHMARK(BM_BusResolveUnsaturatedWs)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
 void BM_Election(benchmark::State& state) {
   std::vector<core::Candidate> candidates;
   for (int i = 0; i < state.range(0); ++i) {

@@ -14,10 +14,7 @@ using sim::ThreadState;
 
 void ManagedScheduler::start(Machine& m, trace::ScheduleTrace& trace) {
   for (const auto& job : m.jobs()) {
-    const int app = connect_app(job, 0);
-    job_to_app_[job.id] = app;
-    app_to_job_[app] = job.id;
-    last_read_[app] = 0.0;
+    (void)connect_app(job, 0);
   }
   quantum_start_ = 0;
   samples_taken_ = 0;
@@ -32,6 +29,16 @@ int ManagedScheduler::connect_app(const sim::Job& job, SimTime now) {
   if (job.spec.bw_reservation > 0.0) {
     (void)manager_.set_reservation(app, job.spec.bw_reservation, now);
   }
+  const auto j = static_cast<std::size_t>(job.id);
+  const auto a = static_cast<std::size_t>(app);
+  if (job_to_app_.size() <= j) job_to_app_.resize(j + 1, -1);
+  if (app_to_job_.size() <= a) {
+    app_to_job_.resize(a + 1, -1);
+    last_read_.resize(a + 1, 0.0);
+  }
+  job_to_app_[j] = app;
+  app_to_job_[a] = job.id;
+  last_read_[a] = 0.0;
   return app;
 }
 
@@ -45,10 +52,11 @@ void ManagedScheduler::take_sample(Machine& m, SimTime now,
                                    trace::ScheduleTrace& trace) {
   const bool tracing = tracer_ && tracer_->enabled();
   for (int app : manager_.running()) {
-    auto jit = app_to_job_.find(app);
-    if (jit == app_to_job_.end()) continue;
-    const double cum = read_counters(m, jit->second);
-    double delta = cum - last_read_[app];
+    const int job_id = job_of(app);
+    if (job_id < 0) continue;
+    double& last_read = last_read_[static_cast<std::size_t>(app)];
+    const double cum = read_counters(m, job_id);
+    double delta = cum - last_read;
     double new_last = cum;
 
     // Seeded per-read fault injection, mirroring the
@@ -75,7 +83,7 @@ void ManagedScheduler::take_sample(Machine& m, SimTime now,
             tracer_->fault(now, {app, obs::FaultKind::kReadFailure, 0.0});
           }
           delta = std::nan("");
-          new_last = last_read_[app];
+          new_last = last_read;
           break;
         case faults::CounterFault::kStale:
           // Hung updater: the counter repeats its previous value. A silent
@@ -84,7 +92,7 @@ void ManagedScheduler::take_sample(Machine& m, SimTime now,
             tracer_->fault(now, {app, obs::FaultKind::kStaleSample, 0.0});
           }
           delta = 0.0;
-          new_last = last_read_[app];
+          new_last = last_read;
           break;
         case faults::CounterFault::kNoise:
           if (tracing) {
@@ -103,19 +111,19 @@ void ManagedScheduler::take_sample(Machine& m, SimTime now,
             tracer_->fault(now,
                            {app, obs::FaultKind::kCounterWraparound, wrapped});
           }
-          delta = wrapped - last_read_[app];
+          delta = wrapped - last_read;
           new_last = wrapped;
           break;
         }
       }
     }
 
-    last_read_[app] = new_last;
+    last_read = new_last;
     manager_.record_sample(app, delta, now);
     // Non-finite deltas never reach exported traces (raw doubles in JSON);
     // the manager's kInvalidSample fault event already records them.
     const double traced = std::isfinite(delta) ? delta : 0.0;
-    trace.event({now, trace::EventKind::kSample, jit->second, -1, -1, traced});
+    trace.event({now, trace::EventKind::kSample, job_id, -1, -1, traced});
     if (tracing && std::isfinite(delta)) {
       tracer_->counter_sample(
           now, {app, delta, manager_.policy_estimate(app)});
@@ -135,9 +143,9 @@ void ManagedScheduler::run_election(Machine& m, SimTime now,
   trace.event({now, trace::EventKind::kQuantumStart, -1, -1, -1,
                static_cast<double>(elections_)});
   for (int app : result.elected) {
-    auto jit = app_to_job_.find(app);
-    if (jit != app_to_job_.end()) {
-      trace.event({now, trace::EventKind::kElection, jit->second, -1, -1,
+    const int job_id = job_of(app);
+    if (job_id >= 0) {
+      trace.event({now, trace::EventKind::kElection, job_id, -1, -1,
                    manager_.policy_estimate(app)});
     }
   }
@@ -145,9 +153,9 @@ void ManagedScheduler::run_election(Machine& m, SimTime now,
   // Reset counter baselines for the newly elected apps so the first sample
   // of the quantum does not include transactions from earlier quanta.
   for (int app : result.elected) {
-    auto jit = app_to_job_.find(app);
-    if (jit != app_to_job_.end()) {
-      last_read_[app] = read_counters(m, jit->second);
+    const int job_id = job_of(app);
+    if (job_id >= 0) {
+      last_read_[static_cast<std::size_t>(app)] = read_counters(m, job_id);
     }
   }
 
@@ -162,10 +170,10 @@ void ManagedScheduler::apply_block_states(Machine& m,
   const auto& running = manager_.running();
   for (const auto& job : m.jobs()) {
     if (job.completed) continue;
-    auto ait = job_to_app_.find(job.id);
-    if (ait == job_to_app_.end()) continue;
-    const bool elected = std::find(running.begin(), running.end(),
-                                   ait->second) != running.end();
+    const int app = app_of(job.id);
+    if (app < 0) continue;
+    const bool elected =
+        std::find(running.begin(), running.end(), app) != running.end();
     for (int tid : job.thread_ids) {
       auto t = m.thread(tid);
       if (elected && t.state == ThreadState::kManagerBlocked) {
@@ -173,7 +181,7 @@ void ManagedScheduler::apply_block_states(Machine& m,
         trace.event({now, trace::EventKind::kUnblock, job.id, tid, -1, 0.0});
         if (tracer_ && tracer_->enabled()) {
           tracer_->job_state_change(
-              now, {ait->second, tid, obs::JobState::kManagerBlocked,
+              now, {app, tid, obs::JobState::kManagerBlocked,
                     obs::JobState::kReady});
         }
       } else if (!elected && t.state == ThreadState::kReady) {
@@ -181,7 +189,7 @@ void ManagedScheduler::apply_block_states(Machine& m,
         trace.event({now, trace::EventKind::kBlock, job.id, tid, -1, 0.0});
         if (tracer_ && tracer_->enabled()) {
           tracer_->job_state_change(
-              now, {ait->second, tid, obs::JobState::kReady,
+              now, {app, tid, obs::JobState::kReady,
                     obs::JobState::kManagerBlocked});
         }
       }
@@ -194,9 +202,9 @@ void ManagedScheduler::place_elected(Machine& m) {
   // fill remaining threads onto remaining CPUs.
   std::vector<int> pending;
   for (int app : manager_.running()) {
-    auto jit = app_to_job_.find(app);
-    if (jit == app_to_job_.end()) continue;
-    for (int tid : m.job(jit->second).thread_ids) {
+    const int job_id = job_of(app);
+    if (job_id < 0) continue;
+    for (int tid : m.job(job_id).thread_ids) {
       const auto t = m.thread(tid);
       if (t.state != ThreadState::kReady) continue;
       if (m.cpu_of(tid) != -1) continue;  // already placed
@@ -239,16 +247,16 @@ void ManagedScheduler::handle_completions(Machine& m, SimTime now,
   bool disconnected = false;
   for (const auto& job : m.jobs()) {
     if (!job.completed) continue;
-    auto ait = job_to_app_.find(job.id);
-    if (ait == job_to_app_.end()) continue;
+    const int app = app_of(job.id);
+    if (app < 0) continue;
     if (tracer_ && tracer_->enabled()) {
-      tracer_->job_state_change(now, {ait->second, -1, obs::JobState::kDone,
+      tracer_->job_state_change(now, {app, -1, obs::JobState::kDone,
                                       obs::JobState::kDisconnected});
     }
-    manager_.disconnect(ait->second);
-    app_to_job_.erase(ait->second);
-    last_read_.erase(ait->second);
-    job_to_app_.erase(job.id);
+    manager_.disconnect(app);
+    app_to_job_[static_cast<std::size_t>(app)] = -1;
+    last_read_[static_cast<std::size_t>(app)] = 0.0;
+    job_to_app_[static_cast<std::size_t>(job.id)] = -1;
     disconnected = true;
   }
   if (disconnected && cfg_.reelect_on_disconnect &&
@@ -265,7 +273,7 @@ SimTime ManagedScheduler::quiescent_until(const Machine& m,
   // Pending connect (live job unconnected) or disconnect (completed job
   // still connected).
   for (const auto& job : m.jobs()) {
-    if (job.completed == job_to_app_.contains(job.id)) return now;
+    if (job.completed == (app_of(job.id) >= 0)) return now;
   }
   if (manager_.app_count() == 0) return kForever;
 
@@ -273,10 +281,10 @@ SimTime ManagedScheduler::quiescent_until(const Machine& m,
   const auto& running = manager_.running();
   for (const auto& job : m.jobs()) {
     if (job.completed) continue;
-    auto ait = job_to_app_.find(job.id);
-    if (ait == job_to_app_.end()) continue;
-    const bool elected = std::find(running.begin(), running.end(),
-                                   ait->second) != running.end();
+    const int app = app_of(job.id);
+    if (app < 0) continue;
+    const bool elected =
+        std::find(running.begin(), running.end(), app) != running.end();
     for (int tid : job.thread_ids) {
       const ThreadState st = m.thread(tid).state;
       if (elected && st == ThreadState::kManagerBlocked) return now;
@@ -314,9 +322,9 @@ SimTime ManagedScheduler::quiescent_until(const Machine& m,
     }
     if (idle_cpu) {
       for (int app : running) {
-        auto jit = app_to_job_.find(app);
-        if (jit == app_to_job_.end()) continue;
-        for (int tid : m.job(jit->second).thread_ids) {
+        const int job_id = job_of(app);
+        if (job_id < 0) continue;
+        for (int tid : m.job(job_id).thread_ids) {
           if (m.thread(tid).state == ThreadState::kReady &&
               m.cpu_of(tid) == -1) {
             return now;
@@ -334,11 +342,9 @@ void ManagedScheduler::tick(Machine& m, SimTime now,
   // join the applications list; they wait (manager-blocked) until the next
   // election considers them.
   for (const auto& job : m.jobs()) {
-    if (job.completed || job_to_app_.contains(job.id)) continue;
+    if (job.completed || app_of(job.id) >= 0) continue;
     const int app = connect_app(job, now);
-    job_to_app_[job.id] = app;
-    app_to_job_[app] = job.id;
-    last_read_[app] = read_counters(m, job.id);
+    last_read_[static_cast<std::size_t>(app)] = read_counters(m, job.id);
     if (tracer_ && tracer_->enabled()) {
       tracer_->job_state_change(now, {app, -1, obs::JobState::kConnected,
                                       obs::JobState::kReady});

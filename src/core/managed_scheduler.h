@@ -16,7 +16,7 @@
 //    traversal + arena polling in the real system).
 #pragma once
 
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "core/cpu_manager.h"
@@ -103,6 +103,14 @@ class ManagedScheduler final : public sim::Scheduler {
 
  private:
   int connect_app(const sim::Job& job, sim::SimTime now);
+  [[nodiscard]] int app_of(int job_id) const {
+    return lookup(job_to_app_, job_id);
+  }
+  [[nodiscard]] int job_of(int app) const { return lookup(app_to_job_, app); }
+  [[nodiscard]] static int lookup(const std::vector<int>& ids, int id) {
+    const auto i = static_cast<std::size_t>(id);
+    return i < ids.size() ? ids[i] : -1;
+  }
   [[nodiscard]] double read_counters(const sim::Machine& m, int job_id) const;
   void take_sample(sim::Machine& m, sim::SimTime now,
                    trace::ScheduleTrace& trace);
@@ -124,11 +132,13 @@ class ManagedScheduler final : public sim::Scheduler {
   faults::FaultInjector injector_;  ///< counter-read fault schedule
   obs::Tracer* tracer_ = nullptr;   ///< non-owning
 
-  /// job id -> manager app id (identity in practice, but kept explicit).
-  std::unordered_map<int, int> job_to_app_;
-  std::unordered_map<int, int> app_to_job_;
-  /// Last cumulative transaction count read per manager app.
-  std::unordered_map<int, double> last_read_;
+  /// job id -> manager app id and back, dense by id: job ids are engine
+  /// indices and app ids the manager's sequential ids. -1 = not connected.
+  /// Only connect_app grows them.
+  std::vector<int> job_to_app_;
+  std::vector<int> app_to_job_;
+  /// Last cumulative transaction count read per manager app, by app id.
+  std::vector<double> last_read_;
 
   sim::SimTime quantum_start_ = 0;
   int samples_taken_ = 0;

@@ -62,6 +62,11 @@ KernelStats run_nbbma(const std::atomic<bool>& stop, int counter_slot,
   return out;
 }
 
+std::uint64_t synthetic_credit(double us, double target_tps) {
+  if (us > kSyntheticStallUs) return 0;
+  return static_cast<std::uint64_t>(us * target_tps);
+}
+
 KernelStats run_synthetic(const std::atomic<bool>& stop, int counter_slot,
                           double target_tps, const MicrobenchConfig& cfg) {
   KernelStats out;
@@ -78,12 +83,13 @@ KernelStats run_synthetic(const std::atomic<bool>& stop, int counter_slot,
     }
     ++out.iterations;
     // ...credited with the bus traffic the emulated application would have
-    // produced over the elapsed wall time.
+    // produced over the elapsed running time; the first interval after a
+    // park spans the whole park and earns nothing.
     const auto now = clock::now();
     const double us =
         std::chrono::duration<double, std::micro>(now - last).count();
     last = now;
-    const auto tx = static_cast<std::uint64_t>(us * target_tps);
+    const std::uint64_t tx = synthetic_credit(us, target_tps);
     credit(counter_slot, tx);
     out.transactions += tx;
   }

@@ -43,11 +43,21 @@ KernelStats run_bbma(const std::atomic<bool>& stop, int counter_slot,
 KernelStats run_nbbma(const std::atomic<bool>& stop, int counter_slot,
                       const MicrobenchConfig& cfg = {});
 
+/// A gap between two run_synthetic loop iterations longer than this (µs)
+/// was a park or a host preemption, not running time, and earns nothing.
+inline constexpr double kSyntheticStallUs = 500.0;
+
+/// Transactions run_synthetic credits for one loop interval of `us`
+/// microseconds at `target_tps`: us * target_tps, truncated, or 0 when the
+/// interval exceeds kSyntheticStallUs.
+[[nodiscard]] std::uint64_t synthetic_credit(double us, double target_tps);
+
 /// A compute-bound kernel with a tunable trickle of memory traffic; used by
 /// examples as a stand-in for a real application thread. `target_tps` is
 /// the approximate bus-transaction rate to emulate (transactions/µs) and is
 /// credited (not necessarily physically generated) — useful on machines
-/// whose memory system differs from the paper's.
+/// whose memory system differs from the paper's. Only time spent running
+/// earns credit (see synthetic_credit).
 KernelStats run_synthetic(const std::atomic<bool>& stop, int counter_slot,
                           double target_tps,
                           const MicrobenchConfig& cfg = {});

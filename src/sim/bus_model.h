@@ -22,12 +22,18 @@
 //     granted_i(X)  = d_i / slowdown_i(X)
 //
 // Sum(granted_i(X)) is strictly decreasing in X (for Sum(d_i) > 0), so the
-// saturation equation Sum(granted_i(X)) = C_eff has a unique root which we
-// find by bisection. Below saturation X is the mild queueing inflation
-// X_light(rho). The same X for all threads models a fair (FIFO-arbitrated)
-// bus where every transaction experiences the same queueing delay; the
-// per-thread impact differs through alpha_i. This is the asymmetry the
-// paper measures.
+// saturation equation Sum(granted_i(X)) = C_eff has a unique root. Its value
+// is defined as the result of 64 steps of plain bisection on the computed
+// sum, and resolve() returns exactly that result by a certified replay: a
+// rounding-error bound on the computed sum (each term >= 0, at most n + 4
+// roundings deep) lets two probes around a Newton estimate of the root
+// decide most bisection comparisons without evaluating the sum; only the
+// steps inside the uncertain band evaluate it, and the replay stops once
+// the bracket cannot move. bus_model.cc states the bound and the proof.
+// Below saturation X is the mild queueing inflation X_light(rho). The same
+// X for all threads models a fair (FIFO-arbitrated) bus where every
+// transaction experiences the same queueing delay; the per-thread impact
+// differs through alpha_i. This is the asymmetry the paper measures.
 //
 // Arbitration weights: back-to-back streaming writers (the BBMA
 // microbenchmark) are burst-friendly — posted writes and open-page locality

@@ -3,6 +3,10 @@
 // paper's §3 measurements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/bus_model.h"
@@ -209,6 +213,181 @@ TEST_P(BusModelPropertyTest, InvariantsHoldForRandomDemands) {
 
 INSTANTIATE_TEST_SUITE_P(RandomDemandSweep, BusModelPropertyTest,
                          ::testing::Range(1, 51));
+
+// ---- differential test: the certified solver against plain bisection ----
+
+// The solver as it was before the certified replay: a fixed 64-step
+// bisection with a granted_sum evaluation per step. Kept here only as the
+// oracle; BusModel::resolve must reproduce it bit for bit.
+BusResolution reference_resolve(const BusModel& m,
+                                std::span<const double> demands,
+                                std::span<const double> weights) {
+  const BusConfig& cfg = m.config();
+  const std::size_t n = demands.size();
+  BusResolution out;
+  out.slowdown.assign(n, 1.0);
+  out.granted.assign(n, 0.0);
+  std::vector<double> alphas(n);
+  std::vector<double> inv_w(n);
+  double total_demand = 0.0;
+  int demanding = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total_demand += demands[i];
+    alphas[i] = m.alpha(demands[i]);
+    inv_w[i] = weights.empty() ? 1.0 : 1.0 / weights[i];
+    if (demands[i] > cfg.demanding_threshold_tps) ++demanding;
+  }
+  out.effective_capacity = m.effective_capacity(demanding);
+  if (total_demand <= 0.0) return out;
+  out.offered_rho = total_demand / out.effective_capacity;
+
+  auto granted_sum = [&](double x) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sum += demands[i] / (1.0 + alphas[i] * (x - 1.0) * inv_w[i]);
+    }
+    return sum;
+  };
+  const double rho_for_light = std::min(out.offered_rho, 1.0);
+  const double x_light =
+      1.0 + cfg.queueing_kappa * rho_for_light * rho_for_light;
+  double x = x_light;
+  if (granted_sum(x_light) > out.effective_capacity) {
+    out.saturated = true;
+    double lo = x_light;
+    double hi = cfg.max_stretch;
+    if (granted_sum(hi) > out.effective_capacity) {
+      x = hi;
+    } else {
+      for (int iter = 0; iter < 64; ++iter) {
+        const double mid = 0.5 * (lo + hi);
+        if (granted_sum(mid) > out.effective_capacity) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      x = 0.5 * (lo + hi);
+    }
+  }
+  out.stretch = x;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.slowdown[i] = 1.0 + alphas[i] * (x - 1.0) * inv_w[i];
+    out.granted[i] = demands[i] / out.slowdown[i];
+    out.total_granted += out.granted[i];
+  }
+  if (out.total_granted > out.effective_capacity) {
+    const double scale = out.effective_capacity / out.total_granted;
+    out.total_granted = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.granted[i] *= scale;
+      if (out.granted[i] > 0.0) out.slowdown[i] = demands[i] / out.granted[i];
+      out.total_granted += out.granted[i];
+    }
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_resolution(const BusResolution& a, const BusResolution& b) {
+  if (!same_bits(a.stretch, b.stretch) || a.saturated != b.saturated ||
+      !same_bits(a.total_granted, b.total_granted) ||
+      !same_bits(a.effective_capacity, b.effective_capacity) ||
+      !same_bits(a.offered_rho, b.offered_rho) ||
+      a.slowdown.size() != b.slowdown.size() ||
+      a.granted.size() != b.granted.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.slowdown.size(); ++i) {
+    if (!same_bits(a.slowdown[i], b.slowdown[i]) ||
+        !same_bits(a.granted[i], b.granted[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Seeded xorshift with helpers for the case generator.
+struct CaseRng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+  double uniform(double lo, double hi) {
+    return lo + (hi - lo) * static_cast<double>(next() >> 11) * 0x1p-53;
+  }
+  int below(int n) { return static_cast<int>(next() % static_cast<unsigned>(n)); }
+};
+
+TEST(BusModelDifferential, CertifiedSolverMatchesPlainBisectionBitwise) {
+  constexpr int kCases = 1'000'000;
+  CaseRng rng{0x9e3779b97f4a7c15ull};
+  BusWorkspace shared;  // warm starts from unrelated earlier solves
+  std::vector<double> demands;
+  std::vector<double> weights;
+  int mismatches = 0;
+  int saturated = 0;
+  int pathological = 0;
+  for (int c = 0; c < kCases; ++c) {
+    BusConfig cfg;
+    cfg.capacity_tps = rng.uniform(5.0, 60.0);
+    cfg.queueing_kappa = rng.below(4) == 0 ? 0.0 : rng.uniform(0.0, 0.6);
+    cfg.max_stretch = rng.below(2) == 0 ? 64.0 : rng.uniform(1.5, 64.0);
+    cfg.alpha_exponent = rng.below(2) == 0 ? 1.0 : rng.uniform(0.3, 1.6);
+    if (rng.below(4) == 0) {
+      cfg.arbitration_loss = rng.uniform(0.0, 0.1);
+      cfg.arbitration_floor = rng.uniform(0.5, 1.0);
+    }
+    const BusModel m(cfg);
+
+    // Small sets dominate the engine's ticks; larger ones up to 64 agents.
+    const int n = 1 + (rng.below(2) == 0 ? rng.below(8) : rng.below(64));
+    demands.resize(static_cast<std::size_t>(n));
+    for (double& d : demands) {
+      switch (rng.below(6)) {
+        case 0: d = 0.0; break;
+        case 1: d = rng.uniform(0.0, 1.0); break;  // sub-threshold
+        case 2: d = 0.0037; break;
+        case 3: d = 23.6; break;  // exactly the per-thread peak
+        default: d = rng.uniform(0.0, 26.0); break;
+      }
+    }
+    weights.clear();
+    switch (rng.below(3)) {
+      case 0: break;  // no weights
+      case 1:
+        for (int i = 0; i < n; ++i) {
+          weights.push_back(rng.below(2) == 0 ? 1.3 : 1.0);
+        }
+        break;
+      default:
+        for (int i = 0; i < n; ++i) weights.push_back(rng.uniform(1.0, 3.0));
+        break;
+    }
+
+    const BusResolution want = reference_resolve(m, demands, weights);
+    const bool ok = c % 2 == 0
+                        ? same_resolution(m.resolve(demands, weights, shared),
+                                          want)
+                        : same_resolution(m.resolve(demands, weights), want);
+    if (want.saturated) ++saturated;
+    if (want.saturated && want.stretch == cfg.max_stretch) ++pathological;
+    if (!ok && ++mismatches <= 5) {
+      ADD_FAILURE() << "case " << c << ": n=" << n
+                    << " stretch=" << want.stretch;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // The generator must reach both solver branches, not just the idle bus.
+  EXPECT_GT(saturated, kCases / 4);
+  EXPECT_GT(pathological, 1000);
+}
 
 }  // namespace
 }  // namespace bbsched::sim

@@ -81,6 +81,22 @@ TEST(Microbench, SyntheticCreditsApproximateTargetRate) {
   EXPECT_LT(stats.transactions, 2'000'000u);
 }
 
+TEST(Microbench, SyntheticCreditIsRateTimesRunningInterval) {
+  EXPECT_EQ(synthetic_credit(100.0, 20.0), 2000u);
+  EXPECT_EQ(synthetic_credit(kSyntheticStallUs, 2.0), 1000u);
+}
+
+TEST(Microbench, SyntheticCreditSkipsStalls) {
+  // A park of a few quanta must not be credited as running time: a 20
+  // trans/µs client would otherwise read far above the bus capacity.
+  EXPECT_EQ(synthetic_credit(kSyntheticStallUs + 1.0, 20.0), 0u);
+  EXPECT_EQ(synthetic_credit(60'000.0, 20.0), 0u);
+}
+
+TEST(Microbench, SyntheticCreditZeroIntervalIsZero) {
+  EXPECT_EQ(synthetic_credit(0.0, 20.0), 0u);
+}
+
 TEST(Microbench, CountersReceiveCredits) {
   auto& registry = perfctr::global_counters();
   const int slot = registry.register_thread();
