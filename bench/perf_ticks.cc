@@ -4,14 +4,17 @@
 //   {
 //     "hardware_threads": ...,
 //     "tick_bench": { ticks, wall_s, ticks_per_sec, allocs, allocs_per_tick,
-//                     batched_ticks, batches, batched_frac },
+//                     batched_ticks, batches, replay_resolves, batched_frac },
 //     "tick_bench_traced": { ..., events, dropped, overhead_pct },
 //     "tick_bench_managed": { ..., fault_overhead_pct },
-//     "tick_bench_linux": { ticks, wall_s, ticks_per_sec, allocs,
-//                           allocs_per_tick, batched_ticks, batches },
+//     "tick_bench_linux": { ... },
+//     "tick_bench_warmup": { ... },
 //     "sweep":      { seeds, runs, serial_wall_s, parallel_wall_s, workers,
 //                     speedup, results_identical }
 //   }
+//
+// Every tick_bench* section carries the fields up to replay_resolves (bus
+// solves inside batches, EngineStats::replay_resolves); "..." marks them.
 //
 // * tick_bench drives a single engine for N ticks (barriered application +
 //   two streaming microbenchmarks) and reports throughput plus heap
@@ -23,8 +26,11 @@
 //   the tracer enabled (events land in the preallocated ring, so it must
 //   stay allocation-free too) and reports the wall-clock overhead.
 //   tick_bench_managed and tick_bench_linux drive the CPU-manager path and
-//   the Linux 2.4 baseline (Fig. 2A set); --smoke asserts both stay
-//   allocation-free, and that the Linux baseline batches its quiet ticks.
+//   the Linux 2.4 baseline (Fig. 2A set); tick_bench_warmup runs the Linux
+//   baseline on the Fig. 2B set, whose slice switches keep runners in their
+//   cache warm-up ramp, so its batches re-solve the bus as demand drifts.
+//   --smoke asserts every tick bench stays allocation-free, and that the
+//   Linux-baseline benches batch their quiet ticks.
 // * sweep runs the same multi-seed improvement sweep twice — through the
 //   serial reference path and through the ThreadPool-backed harness — and
 //   reports both wall clocks. The two must produce bit-identical statistics
@@ -42,6 +48,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 
 #include "experiments/cli.h"
 #include "experiments/parallel.h"
@@ -102,6 +109,7 @@ struct TickBench {
   double allocs_per_tick = 0.0;
   std::uint64_t batched_ticks = 0;  ///< ticks replayed by quantum batching
   std::uint64_t batches = 0;        ///< event-free batches entered
+  std::uint64_t replay_resolves = 0;  ///< bus solves inside batches
   std::uint64_t events = 0;   ///< traced variant only
   std::uint64_t dropped = 0;  ///< traced variant only
 };
@@ -124,6 +132,7 @@ TickBench measure_run(sim::Engine& engine, std::uint64_t ticks) {
   const std::uint64_t ticks_before = engine.stats().total_ticks;
   const std::uint64_t batched_before = engine.stats().batched_ticks;
   const std::uint64_t batches_before = engine.stats().batches;
+  const std::uint64_t resolves_before = engine.stats().replay_resolves;
   const std::uint64_t allocs_before =
       g_allocs.load(std::memory_order_relaxed);
   const auto start = Clock::now();
@@ -140,6 +149,7 @@ TickBench measure_run(sim::Engine& engine, std::uint64_t ticks) {
           : 0.0;
   out.batched_ticks = engine.stats().batched_ticks - batched_before;
   out.batches = engine.stats().batches - batches_before;
+  out.replay_resolves = engine.stats().replay_resolves - resolves_before;
   return out;
 }
 
@@ -186,14 +196,16 @@ TickBench bench_managed_ticks(std::uint64_t ticks, bool faults_enabled) {
   return measure_run(engine, ticks);
 }
 
-/// Linux-baseline variant: the Fig. 2A set (two MG instances + four BBMA,
-/// bus saturated) under the Linux 2.4 model. Its quiet ticks batch between
-/// slice expiries and wakeups; --smoke asserts that they do and that the
-/// scheduler's catch-up stays allocation-free.
-TickBench bench_linux_ticks(std::uint64_t ticks) {
+/// Linux-baseline variant on the Fig. 2A set (two MG instances + four BBMA,
+/// bus saturated) or, with `idle_bus`, the Fig. 2B set (four nBBMA instead).
+/// Its quiet ticks batch between slice expiries and wakeups, including the
+/// cache warm-up ramp after each switch; --smoke asserts that they do and
+/// that the scheduler's catch-up stays allocation-free.
+TickBench bench_linux_ticks(std::uint64_t ticks, bool idle_bus) {
   experiments::ExperimentConfig cfg;
-  const auto w = workload::fig2_saturated(workload::paper_application("MG"),
-                                          cfg.machine.bus);
+  const auto& mg = workload::paper_application("MG");
+  const auto w = idle_bus ? workload::fig2_idle_bus(mg, cfg.machine.bus)
+                          : workload::fig2_saturated(mg, cfg.machine.bus);
   sim::Engine engine(
       cfg.machine, cfg.engine,
       experiments::make_scheduler(experiments::SchedulerKind::kLinux, cfg));
@@ -201,6 +213,21 @@ TickBench bench_linux_ticks(std::uint64_t ticks) {
   engine.set_tracer(&tracer);
   for (const auto& spec : w.jobs) engine.add_job(spec);
   return measure_run(engine, ticks);
+}
+
+/// Prints one tick bench as a JSON section: the fields every tick bench
+/// shares, then `extra` (preformatted `, "key": value` pairs, or "").
+void print_tick_bench(const char* name, const TickBench& b,
+                      const char* extra) {
+  std::printf(
+      "  \"%s\": {\"ticks\": %llu, \"wall_s\": %.6f, \"ticks_per_sec\": %.1f, "
+      "\"allocs\": %llu, \"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
+      "\"batches\": %llu, \"replay_resolves\": %llu%s},\n",
+      name, static_cast<unsigned long long>(b.ticks), b.wall_s,
+      b.ticks_per_sec, static_cast<unsigned long long>(b.allocs),
+      b.allocs_per_tick, static_cast<unsigned long long>(b.batched_ticks),
+      static_cast<unsigned long long>(b.batches),
+      static_cast<unsigned long long>(b.replay_resolves), extra);
 }
 
 struct SweepBench {
@@ -278,7 +305,8 @@ int main(int argc, char** argv) {
   const TickBench tt = bench_ticks(ticks, /*trace_enabled=*/true);
   const TickBench tm = bench_managed_ticks(ticks, /*faults_enabled=*/false);
   const TickBench tf = bench_managed_ticks(ticks, /*faults_enabled=*/true);
-  const TickBench tl = bench_linux_ticks(ticks);
+  const TickBench tl = bench_linux_ticks(ticks, /*idle_bus=*/false);
+  const TickBench tw = bench_linux_ticks(ticks, /*idle_bus=*/true);
   const SweepBench sb = bench_sweep(seeds, workers, sweep_scale);
 
   const double overhead_pct =
@@ -286,100 +314,59 @@ int main(int argc, char** argv) {
   const double fault_overhead_pct =
       tm.wall_s > 0.0 ? (tf.wall_s - tm.wall_s) / tm.wall_s * 100.0 : 0.0;
 
+  char extra[160];
+  std::printf("{\n  \"hardware_threads\": %d,\n",
+              runtime::ThreadPool::hardware_workers());
+  std::snprintf(extra, sizeof extra, ", \"batched_frac\": %.4f",
+                tb.ticks > 0 ? static_cast<double>(tb.batched_ticks) /
+                                   static_cast<double>(tb.ticks)
+                             : 0.0);
+  print_tick_bench("tick_bench", tb, extra);
+  std::snprintf(extra, sizeof extra,
+                ", \"events\": %llu, \"dropped\": %llu, "
+                "\"overhead_pct\": %.2f",
+                static_cast<unsigned long long>(tt.events),
+                static_cast<unsigned long long>(tt.dropped), overhead_pct);
+  print_tick_bench("tick_bench_traced", tt, extra);
+  std::snprintf(extra, sizeof extra, ", \"fault_overhead_pct\": %.2f",
+                fault_overhead_pct);
+  print_tick_bench("tick_bench_managed", tm, extra);
+  print_tick_bench("tick_bench_linux", tl, "");
+  print_tick_bench("tick_bench_warmup", tw, "");
   std::printf(
-      "{\n"
-      "  \"hardware_threads\": %d,\n"
-      "  \"tick_bench\": {\"ticks\": %llu, \"wall_s\": %.6f, "
-      "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
-      "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
-      "\"batches\": %llu, \"batched_frac\": %.4f},\n"
-      "  \"tick_bench_traced\": {\"ticks\": %llu, \"wall_s\": %.6f, "
-      "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
-      "\"allocs_per_tick\": %.6f, \"events\": %llu, \"dropped\": %llu, "
-      "\"overhead_pct\": %.2f},\n"
-      "  \"tick_bench_managed\": {\"ticks\": %llu, \"wall_s\": %.6f, "
-      "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
-      "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
-      "\"batches\": %llu, \"fault_overhead_pct\": %.2f},\n"
-      "  \"tick_bench_linux\": {\"ticks\": %llu, \"wall_s\": %.6f, "
-      "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
-      "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
-      "\"batches\": %llu},\n"
       "  \"sweep\": {\"seeds\": %d, \"runs\": %d, \"serial_wall_s\": %.6f, "
       "\"parallel_wall_s\": %.6f, \"workers\": %d, \"speedup\": %.3f, "
       "\"results_identical\": %s}\n"
       "}\n",
-      runtime::ThreadPool::hardware_workers(),
-      static_cast<unsigned long long>(tb.ticks), tb.wall_s, tb.ticks_per_sec,
-      static_cast<unsigned long long>(tb.allocs), tb.allocs_per_tick,
-      static_cast<unsigned long long>(tb.batched_ticks),
-      static_cast<unsigned long long>(tb.batches),
-      tb.ticks > 0
-          ? static_cast<double>(tb.batched_ticks) /
-                static_cast<double>(tb.ticks)
-          : 0.0,
-      static_cast<unsigned long long>(tt.ticks), tt.wall_s, tt.ticks_per_sec,
-      static_cast<unsigned long long>(tt.allocs), tt.allocs_per_tick,
-      static_cast<unsigned long long>(tt.events),
-      static_cast<unsigned long long>(tt.dropped), overhead_pct,
-      static_cast<unsigned long long>(tm.ticks), tm.wall_s, tm.ticks_per_sec,
-      static_cast<unsigned long long>(tm.allocs), tm.allocs_per_tick,
-      static_cast<unsigned long long>(tm.batched_ticks),
-      static_cast<unsigned long long>(tm.batches),
-      fault_overhead_pct,
-      static_cast<unsigned long long>(tl.ticks), tl.wall_s, tl.ticks_per_sec,
-      static_cast<unsigned long long>(tl.allocs), tl.allocs_per_tick,
-      static_cast<unsigned long long>(tl.batched_ticks),
-      static_cast<unsigned long long>(tl.batches),
       sb.seeds, sb.runs, sb.serial_wall_s, sb.parallel_wall_s, sb.workers,
       sb.speedup, sb.results_identical ? "true" : "false");
 
   if (smoke) {
     bool ok = true;
-    if (tb.allocs_per_tick > 0.01) {
-      std::fprintf(stderr,
-                   "FAIL: tick path allocates (%.4f allocs/tick, want ~0)\n",
-                   tb.allocs_per_tick);
-      ok = false;
-    }
-    if (tt.allocs_per_tick > 0.01) {
-      std::fprintf(stderr,
-                   "FAIL: traced tick path allocates (%.4f allocs/tick; the "
-                   "ring is preallocated, want ~0)\n",
-                   tt.allocs_per_tick);
-      ok = false;
+    const std::pair<const char*, const TickBench*> benches[] = {
+        {"tick_bench", &tb},        {"tick_bench_traced", &tt},
+        {"tick_bench_managed", &tm}, {"tick_bench_linux", &tl},
+        {"tick_bench_warmup", &tw}};
+    for (const auto& [name, b] : benches) {
+      // Tracer rings and every scratch buffer are preallocated.
+      if (b->allocs_per_tick > 0.01) {
+        std::fprintf(stderr, "FAIL: %s allocates (%.4f allocs/tick, want ~0)\n",
+                     name, b->allocs_per_tick);
+        ok = false;
+      }
     }
     if (tt.events == 0) {
       std::fprintf(stderr, "FAIL: traced tick bench recorded no events\n");
       ok = false;
     }
-    if (tb.batched_ticks == 0) {
-      std::fprintf(stderr,
-                   "FAIL: quantum batching inactive in tick bench (0 of "
-                   "%llu ticks batched)\n",
-                   static_cast<unsigned long long>(tb.ticks));
-      ok = false;
-    }
-    if (tm.allocs_per_tick > 0.01) {
-      std::fprintf(stderr,
-                   "FAIL: managed tick path with disabled fault injection "
-                   "allocates (%.4f allocs/tick, want ~0)\n",
-                   tm.allocs_per_tick);
-      ok = false;
-    }
-    if (tl.allocs_per_tick > 0.01) {
-      std::fprintf(stderr,
-                   "FAIL: Linux-baseline tick path allocates (%.4f "
-                   "allocs/tick, want ~0)\n",
-                   tl.allocs_per_tick);
-      ok = false;
-    }
-    if (tl.batched_ticks == 0) {
-      std::fprintf(stderr,
-                   "FAIL: Linux baseline never batches (0 of %llu ticks "
-                   "batched)\n",
-                   static_cast<unsigned long long>(tl.ticks));
-      ok = false;
+    for (const auto& [name, b] : {benches[0], benches[3], benches[4]}) {
+      if (b->batched_ticks == 0) {
+        std::fprintf(stderr,
+                     "FAIL: quantum batching inactive in %s (0 of %llu ticks "
+                     "batched)\n",
+                     name, static_cast<unsigned long long>(b->ticks));
+        ok = false;
+      }
     }
     if (!sb.results_identical) {
       std::fprintf(stderr,

@@ -132,9 +132,7 @@ OptInstance make_instance(const workload::Workload& workload,
     app.weight = spec.bus_priority;
     // Only a provably steady demand contributes to the bus bound; anything
     // else falls back to 0 (weaker but still certified).
-    if (spec.demand != nullptr &&
-        spec.demand->steady_until(0, 0.0) ==
-            std::numeric_limits<double>::infinity()) {
+    if (spec.demand != nullptr && spec.demand->steady()) {
       app.demand_tps = spec.demand->rate(0, 0.0);
     }
     inst.apps.push_back(std::move(app));

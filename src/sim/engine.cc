@@ -1,8 +1,10 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace bbsched::sim {
@@ -15,6 +17,27 @@ constexpr double kEps = 1e-9;
 std::uint64_t ticks_before(SimTime start, SimTime tick, SimTime bound) {
   if (bound <= start) return 0;
   return (bound - start + tick - 1) / tick;
+}
+
+// bbsched:hot runner demand of the full tick and the batch replay
+/// Uncontended bus demand of a non-spinning runner at the start of a tick:
+/// its demand model's rate, lifted while its cache is cold (working-set
+/// refill). The single copy of this expression: batching is bit-exact only
+/// while the full tick and the replay evaluate it identically.
+double runner_demand(const SoAStore& s, std::size_t ti) {
+  double demand = s.demand[ti]->rate(s.tidx[ti], s.progress_us[ti]);
+  demand *= 1.0 + s.cold_demand_boost[ti] * (1.0 - s.warmth[ti]);
+  return demand;
+}
+
+// bbsched:hot runner slowdown of the full tick and the batch replay
+/// Execution-time multiplier of a runner: its bus slowdown, the migration
+/// penalty of a cold cache, and the SMT sibling penalty.
+double total_slowdown(const SoAStore& s, std::size_t ti, double bus_slowdown,
+                      double smt_penalty) {
+  const double affinity_penalty =
+      1.0 + s.migration_sensitivity[ti] * (1.0 - s.warmth[ti]);
+  return bus_slowdown * affinity_penalty * smt_penalty;
 }
 }  // namespace
 
@@ -197,12 +220,7 @@ bool Engine::execute_tick() {
     }
     const bool spinning = barrier_limited && s.progress_us[ti] >= limit - kEps;
 
-    double demand = 0.0;
-    if (!spinning) {
-      demand = s.demand[ti]->rate(s.tidx[ti], s.progress_us[ti]);
-      // Cold caches refill from memory: extra uncontended demand.
-      demand *= 1.0 + s.cold_demand_boost[ti] * (1.0 - s.warmth[ti]);
-    }
+    const double demand = spinning ? 0.0 : runner_demand(s, ti);
     placed_.push_back(
         {static_cast<int>(c), tid, limit, spinning, barrier_limited});
     demands_.push_back(demand);
@@ -223,74 +241,8 @@ bool Engine::execute_tick() {
   // Resolve into the engine's workspace: slowdown/granted/alphas buffers are
   // reused tick over tick, never reallocated in steady state.
   const BusResolution& bus = bus_.resolve(demands_, weights_, bus_ws_);
-
-  // SMT: per-context penalty when a sibling context on the same core is
-  // actively executing (see SmtConfig). Spinning siblings are excluded —
-  // a spin loop leaves the core's execution resources mostly free.
-  smt_penalty_.assign(placed_.size(), 1.0);
-  if (mcfg_.threads_per_core > 1) {
-    placed_idx_by_cpu_.assign(machine_.cpus().size(), -1);
-    for (std::size_t i = 0; i < placed_.size(); ++i) {
-      placed_idx_by_cpu_[static_cast<std::size_t>(placed_[i].cpu)] =
-          static_cast<int>(i);
-    }
-    for (std::size_t i = 0; i < placed_.size(); ++i) {
-      if (placed_[i].spinning) continue;
-      const int core = mcfg_.core_of(placed_[i].cpu);
-      double max_sibling_alpha = -1.0;
-      for (int c = core * mcfg_.threads_per_core;
-           c < (core + 1) * mcfg_.threads_per_core; ++c) {
-        if (c == placed_[i].cpu) continue;
-        const int j = placed_idx_by_cpu_[static_cast<std::size_t>(c)];
-        if (j < 0 || placed_[static_cast<std::size_t>(j)].spinning) continue;
-        // resolve() already derived every agent's alpha; reuse instead of
-        // paying the pow() again.
-        max_sibling_alpha = std::max(
-            max_sibling_alpha, bus_ws_.alphas[static_cast<std::size_t>(j)]);
-      }
-      if (max_sibling_alpha >= 0.0) {
-        const double own_alpha = bus_ws_.alphas[i];
-        smt_penalty_[i] = 1.0 + mcfg_.smt.base_penalty +
-                          mcfg_.smt.memory_overlap_penalty *
-                              std::min(own_alpha, max_sibling_alpha);
-      }
-    }
-  }
-
-  ++stats_.total_ticks;
-  if (!demands_.empty()) {
-    stats_.bus_utilization.add(bus.total_granted / bus.effective_capacity);
-    stats_.stretch.add(bus.stretch);
-    if (bus.saturated) ++stats_.saturated_ticks;
-    stats_.total_granted_transactions += bus.total_granted * tick;
-  }
-
-  // Observability: metrics are a few preallocated increments; the bus
-  // event is recorded every tick — idle ticks included — so any span of
-  // simulated time (a quantum, a noise window) is guaranteed coverage.
-  if (metrics_) {
-    m_ticks_->inc();
-    if (!demands_.empty()) {
-      m_bus_utilization_->observe(bus.total_granted /
-                                  bus.effective_capacity);
-      m_bus_stretch_->observe(bus.stretch);
-      if (bus.saturated) m_saturated_ticks_->inc();
-      m_granted_transactions_->inc(bus.total_granted * tick);
-    }
-  }
-  if (tracer_ && tracer_->enabled()) {
-    obs::BusResolutionPayload p;
-    p.demand_tps = bus.offered_rho * bus.effective_capacity;
-    p.granted_tps = bus.total_granted;
-    p.capacity_tps = bus.effective_capacity;
-    p.utilization = bus.effective_capacity > 0.0
-                        ? bus.total_granted / bus.effective_capacity
-                        : 0.0;
-    p.stretch = bus.stretch;
-    p.agents = static_cast<std::int32_t>(demands_.size());
-    p.saturated = bus.saturated ? 1 : 0;
-    tracer_->bus_resolution(now_, p);
-  }
+  update_smt_penalty();
+  record_bus_tick(bus);
 
   // Advance placed threads.
   for (std::size_t i = 0; i < placed_.size(); ++i) {
@@ -319,13 +271,11 @@ bool Engine::execute_tick() {
       continue;
     }
 
-    const double affinity_penalty =
-        1.0 + s.migration_sensitivity[ti] * (1.0 - s.warmth[ti]);
-    const double total_slowdown =
-        bus.slowdown[i] * affinity_penalty * smt_penalty_[i];
-    assert(total_slowdown >= 1.0 - kEps);
+    const double slowdown =
+        total_slowdown(s, ti, bus.slowdown[i], smt_penalty_[i]);
+    assert(slowdown >= 1.0 - kEps);
 
-    const double delta = tick / total_slowdown;
+    const double delta = tick / slowdown;
     const double allowed = std::max(0.0, p.limit - s.progress_us[ti]);
     const double frac = delta > 0.0 ? std::min(1.0, allowed / delta) : 1.0;
 
@@ -416,6 +366,80 @@ bool Engine::execute_tick() {
   account_unplaced(tick);
   if (barrier_transitions()) structural = true;
   return structural;
+}
+
+// bbsched:hot runs on every full tick and on every replayed bus solve
+void Engine::update_smt_penalty() {
+  // SMT: per-context penalty when a sibling context on the same core is
+  // actively executing (see SmtConfig). Spinning siblings are excluded —
+  // a spin loop leaves the core's execution resources mostly free.
+  smt_penalty_.assign(placed_.size(), 1.0);
+  if (mcfg_.threads_per_core <= 1) return;
+  placed_idx_by_cpu_.assign(machine_.cpus().size(), -1);
+  for (std::size_t i = 0; i < placed_.size(); ++i) {
+    placed_idx_by_cpu_[static_cast<std::size_t>(placed_[i].cpu)] =
+        static_cast<int>(i);
+  }
+  for (std::size_t i = 0; i < placed_.size(); ++i) {
+    if (placed_[i].spinning) continue;
+    const int core = mcfg_.core_of(placed_[i].cpu);
+    double max_sibling_alpha = -1.0;
+    for (int c = core * mcfg_.threads_per_core;
+         c < (core + 1) * mcfg_.threads_per_core; ++c) {
+      if (c == placed_[i].cpu) continue;
+      const int j = placed_idx_by_cpu_[static_cast<std::size_t>(c)];
+      if (j < 0 || placed_[static_cast<std::size_t>(j)].spinning) continue;
+      // resolve() already derived every agent's alpha; reuse instead of
+      // paying the pow() again.
+      max_sibling_alpha = std::max(
+          max_sibling_alpha, bus_ws_.alphas[static_cast<std::size_t>(j)]);
+    }
+    if (max_sibling_alpha >= 0.0) {
+      const double own_alpha = bus_ws_.alphas[i];
+      smt_penalty_[i] = 1.0 + mcfg_.smt.base_penalty +
+                        mcfg_.smt.memory_overlap_penalty *
+                            std::min(own_alpha, max_sibling_alpha);
+    }
+  }
+}
+
+// bbsched:hot runs on every full and replayed tick
+void Engine::record_bus_tick(const BusResolution& bus) {
+  const double tick = static_cast<double>(ecfg_.tick_us);
+  ++stats_.total_ticks;
+  if (!demands_.empty()) {
+    stats_.bus_utilization.add(bus.total_granted / bus.effective_capacity);
+    stats_.stretch.add(bus.stretch);
+    if (bus.saturated) ++stats_.saturated_ticks;
+    stats_.total_granted_transactions += bus.total_granted * tick;
+  }
+
+  // Observability: metrics are a few preallocated increments; the bus
+  // event is recorded every tick — idle ticks included — so any span of
+  // simulated time (a quantum, a noise window) is guaranteed coverage.
+  if (metrics_) {
+    m_ticks_->inc();
+    if (!demands_.empty()) {
+      m_bus_utilization_->observe(bus.total_granted /
+                                  bus.effective_capacity);
+      m_bus_stretch_->observe(bus.stretch);
+      if (bus.saturated) m_saturated_ticks_->inc();
+      m_granted_transactions_->inc(bus.total_granted * tick);
+    }
+  }
+  if (tracer_ && tracer_->enabled()) {
+    obs::BusResolutionPayload p;
+    p.demand_tps = bus.offered_rho * bus.effective_capacity;
+    p.granted_tps = bus.total_granted;
+    p.capacity_tps = bus.effective_capacity;
+    p.utilization = bus.effective_capacity > 0.0
+                        ? bus.total_granted / bus.effective_capacity
+                        : 0.0;
+    p.stretch = bus.stretch;
+    p.agents = static_cast<std::int32_t>(demands_.size());
+    p.saturated = bus.saturated ? 1 : 0;
+    tracer_->bus_resolution(now_, p);
+  }
 }
 
 // bbsched:hot runs every tick from execute_tick
@@ -566,7 +590,6 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
   if (budget == 0) return 0;
 
   // I/O wake-ups fire when T + tick >= io_wake_us.
-  batch_dma_.clear();
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s.state[i] != ThreadState::kIoWait) continue;
     const SimTime wake = s.io_wake_us[i];
@@ -575,69 +598,18 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
   }
   if (budget == 0) return 0;
 
-  // Per-placed-thread soundness: the bus resolution from the last full tick
-  // is reused for every replayed tick, which is only bit-exact if each
-  // agent's demand is provably constant over the window.
-  const BusResolution& bus = bus_ws_.result;
+  // Placed threads: placements and spin classification hold for the whole
+  // batch (a flip is an event). Demand and warmth may drift — the replay
+  // re-derives both every tick — so nothing here vetoes on them.
   batch_threads_.clear();
   batch_stolen_.clear();
   for (std::size_t i = 0; i < placed_.size(); ++i) {
     const PlacedThread& p = placed_[i];
     const auto ti = static_cast<std::size_t>(p.tid);
-    BatchThread bt;
-    bt.tid = p.tid;
-    bt.job = s.app_id[ti];
-    bt.cpu = p.cpu;
-    bt.pi = i;
-    bt.spinning = p.spinning;
-    bt.coupled = s.coupled[ti] != 0;
-    bt.io_enabled = s.io_enabled[ti] != 0;
-    bt.work = s.work_us[ti];
-    bt.interval = s.barrier_interval_us[ti];
-    bt.next_io = s.next_io_at_progress[ti];
-    bt.delta = 0.0;
-    bt.granted_tick = bus.granted[i] * tick;
-    bt.attempt_tick = demands_[i] * tick;
-    if (!p.spinning) {
-      // Demand must not drift: the cold-cache boost and migration penalty
-      // freeze only at full warmth (or when their coefficients are zero),
-      // and the demand model must be inside a constant-rate interval.
-      const double w = s.warmth[ti];
-      if ((s.cold_demand_boost[ti] != 0.0 ||
-           s.migration_sensitivity[ti] != 0.0) &&
-          w != 1.0) {
-        return 0;
-      }
-      double d = s.demand[ti]->rate(s.tidx[ti], s.progress_us[ti]);
-      d *= 1.0 + s.cold_demand_boost[ti] * (1.0 - w);
-      if (d != demands_[i]) return 0;  // bitwise: resolve inputs must match
-
-      const double affinity_penalty =
-          1.0 + s.migration_sensitivity[ti] * (1.0 - w);
-      const double total_slowdown =
-          bus.slowdown[i] * affinity_penalty * smt_penalty_[i];
-      bt.delta = tick / total_slowdown;
-
-      const double steady_to =
-          s.demand[ti]->steady_until(s.tidx[ti], s.progress_us[ti]);
-      if (std::isfinite(steady_to)) {
-        const double avail = steady_to - s.progress_us[ti];
-        if (!(avail > 0.0) || !(bt.delta > 0.0)) return 0;
-        // One-tick safety margin against the horizon's own rounding.
-        const double nd = std::floor(avail / bt.delta) - 1.0;
-        if (nd < 1.0) return 0;
-        budget = std::min(budget, static_cast<std::uint64_t>(nd));
-      }
-    }
-    batch_threads_.push_back(bt);
-  }
-  if (budget == 0) return 0;
-
-  // DMA agents behind placed entries: constant demand by construction.
-  for (std::size_t k = 0; k < dma_tids_.size(); ++k) {
-    const std::size_t idx = placed_.size() + k;
-    batch_dma_.push_back(
-        {dma_tids_[k], bus.granted[idx] * tick, demands_[idx] * tick});
+    batch_threads_.push_back({p.tid, s.app_id[ti], p.cpu, i, p.spinning,
+                              s.coupled[ti] != 0, s.io_enabled[ti] != 0,
+                              s.work_us[ti], s.barrier_interval_us[ti],
+                              s.next_io_at_progress[ti]});
   }
 
   // Noise-stolen residents accrue stolen time each tick.
@@ -651,9 +623,8 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
   }
 
   // Cache-disturbance pairs (runner evicting a same-core thread's warmth)
-  // are fixed while placements and states hold. A victim that is itself an
-  // advancing placed thread with warmth-sensitive demand would invalidate
-  // the frozen bus resolution, so such pairs veto the batch.
+  // are fixed while placements and states hold. A victim that is itself a
+  // runner changes its demand and slowdown, which the replay re-derives.
   batch_dist_.clear();
   batch_dist_dec_.clear();
   SoAStore& sm = machine_.store();
@@ -671,13 +642,6 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
       if (static_cast<int>(i) == runner || s.last_cpu[i] < 0) continue;
       if (mcfg_.core_of(s.last_cpu[i]) != runner_core) continue;
       if (s.state[i] == ThreadState::kDone) continue;
-      for (const BatchThread& bt : batch_threads_) {
-        if (bt.tid == static_cast<int>(i) && !bt.spinning &&
-            (s.cold_demand_boost[i] != 0.0 ||
-             s.migration_sensitivity[i] != 0.0)) {
-          return 0;
-        }
-      }
       batch_dist_.push_back(&sm.warmth[i]);
       batch_dist_dec_.push_back(dec);
     }
@@ -722,37 +686,37 @@ void Engine::replay_quiet_ticks(SimTime until) {
   const double grace = static_cast<double>(ecfg_.spin_grace_us);
   SoAStore& s = machine_.store();
   const BusResolution& bus = bus_ws_.result;
-
-  // Per-tick constants of the frozen resolution.
-  const bool has_demands = !demands_.empty();
-  const double util = has_demands
-                          ? bus.total_granted / bus.effective_capacity
-                          : 0.0;
-  const double granted_x_tick = bus.total_granted * tick;
   const bool trace_on = trace_.enabled();
-  const bool tracer_on = tracer_ && tracer_->enabled();
-  obs::BusResolutionPayload bus_payload{};
-  if (tracer_on) {
-    bus_payload.demand_tps = bus.offered_rho * bus.effective_capacity;
-    bus_payload.granted_tps = bus.total_granted;
-    bus_payload.capacity_tps = bus.effective_capacity;
-    bus_payload.utilization =
-        bus.effective_capacity > 0.0
-            ? bus.total_granted / bus.effective_capacity
-            : 0.0;
-    bus_payload.stretch = bus.stretch;
-    bus_payload.agents = static_cast<std::int32_t>(demands_.size());
-    bus_payload.saturated = bus.saturated ? 1 : 0;
-  }
 
   batch_frac_.resize(batch_threads_.size());
   batch_pnew_.resize(batch_threads_.size());
 
   std::uint64_t done = 0;
   while (done < budget) {
-    // ---- phase A: per-tick event checks, no mutation. Every expression
+    // ---- phase A: re-derive every runner's demand exactly as the full
+    // gather does. resolve() is a function of its inputs alone (the warm
+    // start only speeds the search), so the last resolution stands for this
+    // tick unless some demand differs bitwise; DMA demands and all weights
+    // are constant while states hold. ----
+    bool resolve_needed = false;
+    for (const BatchThread& bt : batch_threads_) {
+      if (bt.spinning) continue;
+      const double d = runner_demand(s, static_cast<std::size_t>(bt.tid));
+      if (std::bit_cast<std::uint64_t>(d) !=
+          std::bit_cast<std::uint64_t>(demands_[bt.pi])) {
+        demands_[bt.pi] = d;
+        resolve_needed = true;
+      }
+    }
+    if (resolve_needed) {
+      bus_.resolve(demands_, weights_, bus_ws_);
+      update_smt_penalty();
+      ++stats_.replay_resolves;
+    }
+
+    // ---- phase B: per-tick event checks, no mutation. Every expression
     // matches the full path bit for bit; any event defers the tick to the
-    // full path, which handles the transition exactly. ----
+    // full path, which re-gathers and handles the transition exactly. ----
     bool event = false;
     for (std::size_t b = 0; b < batch_threads_.size() && !event; ++b) {
       const BatchThread& bt = batch_threads_[b];
@@ -783,10 +747,11 @@ void Engine::replay_quiet_ticks(SimTime until) {
         }
         continue;
       }
+      const double delta = tick / total_slowdown(s, ti, bus.slowdown[bt.pi],
+                                                 smt_penalty_[bt.pi]);
       const double allowed = std::max(0.0, limit - p);
-      const double frac =
-          bt.delta > 0.0 ? std::min(1.0, allowed / bt.delta) : 1.0;
-      const double p_new = p + bt.delta * frac;
+      const double frac = delta > 0.0 ? std::min(1.0, allowed / delta) : 1.0;
+      const double p_new = p + delta * frac;
       if (frac < 1.0 && !barrier_limited) {
         event = true;  // ran into an I/O point or end of work
         break;
@@ -805,26 +770,10 @@ void Engine::replay_quiet_ticks(SimTime until) {
     }
     if (event) break;
 
-    // ---- phase B: commit the tick (same operation order as the full
+    // ---- phase C: commit the tick (same operation order as the full
     // path: stats, observability, advance, DMA, disturbance, waits). ----
-    ++stats_.total_ticks;
+    record_bus_tick(bus);
     ++stats_.batched_ticks;
-    if (has_demands) {
-      stats_.bus_utilization.add(util);
-      stats_.stretch.add(bus.stretch);
-      if (bus.saturated) ++stats_.saturated_ticks;
-      stats_.total_granted_transactions += granted_x_tick;
-    }
-    if (metrics_) {
-      m_ticks_->inc();
-      if (has_demands) {
-        m_bus_utilization_->observe(util);
-        m_bus_stretch_->observe(bus.stretch);
-        if (bus.saturated) m_saturated_ticks_->inc();
-        m_granted_transactions_->inc(granted_x_tick);
-      }
-    }
-    if (tracer_on) tracer_->bus_resolution(now_, bus_payload);
 
     for (std::size_t b = 0; b < batch_threads_.size(); ++b) {
       const BatchThread& bt = batch_threads_[b];
@@ -840,10 +789,10 @@ void Engine::replay_quiet_ticks(SimTime until) {
       const double frac = batch_frac_[b];
       s.progress_us[ti] = batch_pnew_[b];
       s.run_us[ti] += tick * frac;
-      s.bus_transactions[ti] += bt.granted_tick * frac;
-      s.bus_attempts[ti] += bt.attempt_tick * frac;
+      s.bus_transactions[ti] += bus.granted[bt.pi] * tick * frac;
+      s.bus_attempts[ti] += demands_[bt.pi] * tick * frac;
       if (frac < 1.0) {
-        // Only barrier-limited threads can be here with frac < 1 (phase A
+        // Only barrier-limited threads can be here with frac < 1 (phase B
         // defers the other limits): the remainder was spent spinning.
         s.spin_us[ti] += tick * (1.0 - frac);
         s.consecutive_spin_us[ti] += tick * (1.0 - frac);
@@ -852,10 +801,11 @@ void Engine::replay_quiet_ticks(SimTime until) {
       }
       s.warmth[ti] = std::min(1.0, s.warmth[ti] + warm_inc);
     }
-    for (const BatchDma& d : batch_dma_) {
-      const auto ti = static_cast<std::size_t>(d.tid);
-      s.bus_transactions[ti] += d.granted_tick;
-      s.bus_attempts[ti] += d.attempt_tick;
+    for (std::size_t k = 0; k < dma_tids_.size(); ++k) {
+      const std::size_t idx = placed_.size() + k;
+      const auto ti = static_cast<std::size_t>(dma_tids_[k]);
+      s.bus_transactions[ti] += bus.granted[idx] * tick;
+      s.bus_attempts[ti] += demands_[idx] * tick;
     }
     for (const int tid : batch_stolen_) {
       s.stolen_us[static_cast<std::size_t>(tid)] += tick;
@@ -865,7 +815,7 @@ void Engine::replay_quiet_ticks(SimTime until) {
     }
     for (double* acc : batch_wait_) *acc += tick;
 
-    // ---- phase C: barrier fronts and wake-ups, exactly as the full path
+    // ---- phase D: barrier fronts and wake-ups, exactly as the full path
     // ends a tick. A wake changes a thread state, so it closes the batch
     // (the scheduler may react next tick). ----
     const bool woke = barrier_transitions();

@@ -34,6 +34,12 @@ struct EngineStats {
   /// per-tick stepping).
   std::uint64_t batches = 0;
   std::uint64_t batched_ticks = 0;
+  /// Bus solves inside batches: replayed ticks whose re-gathered demand
+  /// differed bitwise from the previous tick's (cache warm-up, demand-model
+  /// edges), including one for a tick that then hands back to full
+  /// stepping. Each of the total_ticks - batched_ticks full ticks solves
+  /// once more.
+  std::uint64_t replay_resolves = 0;
 };
 
 class Engine {
@@ -93,6 +99,11 @@ class Engine {
 
   /// Returns true on a structural event (see step_once).
   bool execute_tick();
+  /// Fills smt_penalty_ for placed_ from the current bus resolution.
+  void update_smt_penalty();
+  /// Per-tick bus statistics, metrics and kBusResolution event; shared by
+  /// full and replayed ticks.
+  void record_bus_tick(const BusResolution& bus);
   void account_unplaced(double tick);
   void apply_cache_disturbance(double tick);
   /// Wakes barrier waiters whose siblings caught up; true if any woke.
@@ -106,11 +117,12 @@ class Engine {
   //
   // After an event-free full tick, replay_quiet_ticks() advances through
   // ticks in which provably nothing changes shape — no arrival, noise
-  // boundary, I/O wake, scheduler action or demand-model change — repeating
-  // the exact per-tick arithmetic (same operations, same order, bit-identical
-  // results) while skipping the bus resolve, scheduler tick and per-tick
-  // gather whose inputs are constant. Any per-tick event check that fires
-  // falls back to full stepping for that tick.
+  // boundary, I/O wake or scheduler action — repeating the exact per-tick
+  // arithmetic (same operations, same order, bit-identical results) while
+  // skipping the scheduler tick and the placement scan. Each replayed tick
+  // re-derives every runner's demand and re-solves the bus only when one
+  // differs bitwise from the previous tick's. Any per-tick event check that
+  // fires falls back to full stepping for that tick.
 
   /// Validates batch preconditions, computes the event horizon (max replay
   /// ticks) and fills the batch_* scratch. Returns 0 when batching is not
@@ -193,13 +205,10 @@ class Engine {
     int tid;
     int job;
     int cpu;
-    std::size_t pi;       ///< index into demands_ / bus workspace arrays
-    bool spinning;        ///< pure spinner at batch start
+    std::size_t pi;  ///< index into demands_ / bus workspace arrays
+    bool spinning;   ///< pure spinner at batch start
     bool coupled;
     bool io_enabled;
-    double delta;         ///< tick / total_slowdown (constant in-batch)
-    double granted_tick;  ///< granted rate * tick
-    double attempt_tick;  ///< demand * tick
     double work;
     double interval;
     double next_io;
@@ -207,13 +216,6 @@ class Engine {
   std::vector<BatchThread> batch_threads_;
   std::vector<double> batch_frac_;  ///< per-BatchThread tick fraction
   std::vector<double> batch_pnew_;  ///< per-BatchThread predicted progress
-  /// DMA agents: (thread id, granted*tick, demand*tick).
-  struct BatchDma {
-    int tid;
-    double granted_tick;
-    double attempt_tick;
-  };
-  std::vector<BatchDma> batch_dma_;
   std::vector<int> batch_stolen_;        ///< noise-stolen resident threads
   std::vector<double*> batch_dist_;      ///< disturbance victims' warmth
   std::vector<double> batch_dist_dec_;   ///< matching warmth decrement

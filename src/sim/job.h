@@ -28,16 +28,10 @@ class DemandModel {
   /// `progress_us` on an uncontended machine.
   [[nodiscard]] virtual double rate(int tidx, double progress_us) const = 0;
 
-  /// Upper end of the progress interval [progress_us, steady_until) over
-  /// which rate(tidx, ·) is guaranteed constant. The engine's tick batching
-  /// (DESIGN.md §11) uses this to bound event-free horizons; the
-  /// conservative default — the current point itself — claims no constant
-  /// interval, which disables batching for models that do not opt in.
-  [[nodiscard]] virtual double steady_until(int tidx,
-                                            double progress_us) const {
-    (void)tidx;
-    return progress_us;
-  }
+  /// True when rate() is the same for every thread at every progress
+  /// point. opt_solve's bus bound counts only such demand; the conservative
+  /// default claims nothing.
+  [[nodiscard]] virtual bool steady() const { return false; }
 };
 
 /// Constant-rate demand — adequate for most of the paper's applications,
@@ -46,9 +40,7 @@ class SteadyDemand final : public DemandModel {
  public:
   explicit SteadyDemand(double tps) : tps_(tps) { assert(tps >= 0.0); }
   [[nodiscard]] double rate(int, double) const override { return tps_; }
-  [[nodiscard]] double steady_until(int, double) const override {
-    return std::numeric_limits<double>::infinity();
-  }
+  [[nodiscard]] bool steady() const override { return true; }
 
  private:
   double tps_;

@@ -34,14 +34,6 @@ class BurstyDemand final : public sim::DemandModel {
     return base_ * (1.0 + amplitude_ * (2.0 * u - 1.0));
   }
 
-  /// Constant within the current cell: the next boundary is the first
-  /// progress point where rate() can change.
-  [[nodiscard]] double steady_until(int /*tidx*/,
-                                    double progress_us) const override {
-    const auto cell = static_cast<std::uint64_t>(progress_us / cell_);
-    return (static_cast<double>(cell) + 1.0) * cell_;
-  }
-
  private:
   [[nodiscard]] double hash01(std::uint64_t cell, std::uint64_t tidx) const {
     std::uint64_t x = seed_ ^ (cell * 0x9e3779b97f4a7c15ULL) ^
@@ -77,15 +69,6 @@ class PhasedDemand final : public sim::DemandModel {
     return phase < duty_ * period_ ? high_ : low_;
   }
 
-  /// Constant until the current phase's high/low edge.
-  [[nodiscard]] double steady_until(int /*tidx*/,
-                                    double progress_us) const override {
-    const double phase = std::fmod(progress_us, period_);
-    const double edge = duty_ * period_;
-    const double remaining = phase < edge ? edge - phase : period_ - phase;
-    return progress_us + remaining;
-  }
-
   /// Long-run mean rate (used by calibration).
   [[nodiscard]] double mean_tps() const {
     return duty_ * high_ + (1.0 - duty_) * low_;
@@ -113,10 +96,7 @@ class ScaledDemand final : public sim::DemandModel {
     return factor_ * inner_->rate(tidx, progress_us);
   }
 
-  [[nodiscard]] double steady_until(int tidx,
-                                    double progress_us) const override {
-    return inner_->steady_until(tidx, progress_us);
-  }
+  [[nodiscard]] bool steady() const override { return inner_->steady(); }
 
  private:
   std::shared_ptr<const sim::DemandModel> inner_;

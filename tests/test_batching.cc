@@ -5,7 +5,9 @@
 // event class mid-run: open-system arrivals, OS-noise window boundaries,
 // spin-grace expiry, I/O issue/wake edges, barrier wake-ups and completions.
 // The Linux-baseline runs also compare the scheduler's own state (timeslice
-// counters, epoch refills), which it catches up on after each batch.
+// counters, epoch refills), which it catches up on after each batch. Runs
+// through a cache warm-up ramp or across demand-model edges also compare
+// the structured tracer's per-tick kBusResolution events.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +17,7 @@
 #include "core/managed_scheduler.h"
 #include "experiments/runner.h"
 #include "linuxsched/linux_sched.h"
+#include "obs/tracer.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
 #include "workload/demand_models.h"
@@ -29,23 +32,31 @@ using sim::JobSpec;
 using sim::MachineConfig;
 using sim::SimTime;
 
+/// Double fields recorded per thread in RunSnapshot::thread_doubles; the
+/// second is warmth.
+constexpr std::size_t kThreadDoubles = 13;
+constexpr std::size_t kWarmth = 1;
+
 /// Everything the engine computes that callers can observe.
 struct RunSnapshot {
   SimTime end = 0;
   std::uint64_t total_ticks = 0;
   std::uint64_t saturated_ticks = 0;
   std::uint64_t batched_ticks = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t replay_resolves = 0;
   double total_granted = 0.0;
   std::uint64_t util_n = 0;
   double util_mean = 0.0;
   double stretch_mean = 0.0;
-  std::vector<double> thread_doubles;  ///< every double field, thread-major
+  std::vector<double> thread_doubles;  ///< kThreadDoubles per thread
   std::vector<int> thread_ints;
   std::vector<SimTime> completions;
   std::vector<trace::Event> events;
   std::vector<trace::RunInterval> intervals;
   std::vector<double> sched_counters;  ///< LinuxScheduler runs only
   std::uint64_t sched_epochs = 0;      ///< LinuxScheduler runs only
+  std::vector<obs::TraceEvent> tracer_events;  ///< RunSpec::tracer runs only
 };
 
 struct RunSpec {
@@ -55,6 +66,8 @@ struct RunSpec {
   /// (when, spec) open-system arrivals.
   std::vector<std::pair<SimTime, JobSpec>> arrivals;
   SimTime until = 0;
+  /// Attach an enabled obs::Tracer and snapshot its events.
+  bool tracer = false;
 };
 
 RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
@@ -63,6 +76,8 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   ecfg.trace = true;
   ecfg.max_batch_ticks = max_batch_ticks;
   Engine eng(s.machine, ecfg, std::move(sched));
+  obs::Tracer tracer({.enabled = s.tracer});
+  if (s.tracer) eng.set_tracer(&tracer);
   for (const auto& spec : s.jobs) eng.add_job(spec);
   for (const auto& [when, spec] : s.arrivals) eng.submit_job(spec, when);
   eng.run_until(s.until);
@@ -79,6 +94,8 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   out.total_ticks = st.total_ticks;
   out.saturated_ticks = st.saturated_ticks;
   out.batched_ticks = st.batched_ticks;
+  out.batches = st.batches;
+  out.replay_resolves = st.replay_resolves;
   out.total_granted = st.total_granted_transactions;
   out.util_n = st.bus_utilization.count();
   out.util_mean = st.bus_utilization.mean();
@@ -106,6 +123,9 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
     }
     out.sched_epochs = linux_sched->epochs();
   }
+  EXPECT_EQ(tracer.dropped(), 0u) << "tracer ring too small for the run";
+  tracer.events().for_each(
+      [&](const obs::TraceEvent& e) { out.tracer_events.push_back(e); });
   return out;
 }
 
@@ -143,6 +163,33 @@ void expect_identical(const RunSnapshot& a, const RunSnapshot& b) {
     EXPECT_EQ(a.sched_counters[i], b.sched_counters[i]) << "counter #" << i;
   }
   EXPECT_EQ(a.sched_epochs, b.sched_epochs);
+  ASSERT_EQ(a.tracer_events.size(), b.tracer_events.size());
+  for (std::size_t i = 0; i < a.tracer_events.size(); ++i) {
+    const obs::TraceEvent& x = a.tracer_events[i];
+    const obs::TraceEvent& y = b.tracer_events[i];
+    EXPECT_EQ(x.time_us, y.time_us) << "tracer event #" << i;
+    ASSERT_EQ(x.type, y.type) << "tracer event #" << i;
+    if (x.type != obs::EventType::kBusResolution) continue;
+    EXPECT_EQ(x.bus.demand_tps, y.bus.demand_tps) << "tracer event #" << i;
+    EXPECT_EQ(x.bus.granted_tps, y.bus.granted_tps) << "tracer event #" << i;
+    EXPECT_EQ(x.bus.capacity_tps, y.bus.capacity_tps) << "tracer event #" << i;
+    EXPECT_EQ(x.bus.utilization, y.bus.utilization) << "tracer event #" << i;
+    EXPECT_EQ(x.bus.stretch, y.bus.stretch) << "tracer event #" << i;
+    EXPECT_EQ(x.bus.agents, y.bus.agents) << "tracer event #" << i;
+    EXPECT_EQ(x.bus.saturated, y.bus.saturated) << "tracer event #" << i;
+  }
+}
+
+/// Runs `s` batched and per-tick under fresh schedulers from `make` and
+/// expects bit-identical snapshots; returns the batched one.
+template <typename MakeScheduler>
+RunSnapshot expect_batching_exact(const RunSpec& s, MakeScheduler make) {
+  const RunSnapshot batched = run(s, make(), 4096);
+  const RunSnapshot stepped = run(s, make(), 1);
+  EXPECT_EQ(stepped.batched_ticks, 0u);
+  EXPECT_EQ(stepped.replay_resolves, 0u);
+  expect_identical(batched, stepped);
+  return batched;
 }
 
 std::unique_ptr<sim::Scheduler> pinned() {
@@ -344,6 +391,118 @@ TEST(Batching, LinuxBaselineRandomizedMixesAreBitIdentical) {
     SCOPED_TRACE("linux seed " + std::to_string(seed));
     EXPECT_GT(batched.batched_ticks, 0u);
     expect_identical(batched, stepped);
+  }
+}
+
+// A job of `nthreads` independent (barrier-free) threads with a cold cache
+// that lifts demand and slows progress until warm.
+JobSpec warming_job(const char* name, int nthreads,
+                    std::shared_ptr<const sim::DemandModel> demand) {
+  JobSpec j;
+  j.name = name;
+  j.nthreads = nthreads;
+  j.work_us = 5'000'000.0;
+  j.barrier_interval_us = 0.0;
+  j.demand = std::move(demand);
+  j.cache.cold_demand_boost = 1.5;
+  j.cache.migration_sensitivity = 0.3;
+  return j;
+}
+
+// Cold start: every thread begins at warmth 0, so for the first warmup_us
+// (40 ticks) each runner's cold-cache demand boost and migration penalty
+// change every tick. The horizon ends inside that ramp, so every batched
+// tick re-derives a drifting demand and re-solves the bus.
+TEST(Batching, ColdStartRampBatchesBitIdentically) {
+  for (const char* app : {"LU-CB", "Water-nsqr"}) {
+    RunSpec s;
+    s.engine.os_noise_interval_us = 0;
+    s.jobs = workload::fig1_with_bbma(workload::paper_application(app),
+                                      s.machine.bus)
+                 .jobs;
+    s.until = 35 * s.engine.tick_us;
+    ASSERT_LT(s.until, s.machine.cache.warmup_us);
+    s.tracer = true;
+    SCOPED_TRACE(app);
+    const RunSnapshot batched = expect_batching_exact(s, pinned);
+    EXPECT_GT(batched.batched_ticks, 0u) << "the warm-up ramp never batched";
+    EXPECT_GT(batched.replay_resolves, 0u);
+    EXPECT_EQ(batched.total_ticks, 35u);
+  }
+}
+
+// Warmth climbs to its 1.0 cap inside one batch: the demand re-solves stop
+// once it saturates, and the cap itself must match per-tick stepping.
+TEST(Batching, WarmthCapInsideBatchIsBitIdentical) {
+  RunSpec s;
+  s.engine.os_noise_interval_us = 0;
+  s.jobs = {warming_job("warm", 2, std::make_shared<sim::SteadyDemand>(9.0)),
+            warming_job("warm2", 1, std::make_shared<sim::SteadyDemand>(4.0))};
+  s.until = 150 * s.engine.tick_us;
+  s.tracer = true;
+  const RunSnapshot batched = expect_batching_exact(s, pinned);
+  // One full tick, then a single batch through the ramp and the cap.
+  EXPECT_EQ(batched.batches, 1u);
+  EXPECT_EQ(batched.batched_ticks, batched.total_ticks - 1);
+  EXPECT_GT(batched.replay_resolves, 0u);
+  // The ramp re-solves each tick; the warm tail reuses the last solve.
+  EXPECT_LT(batched.replay_resolves, batched.batched_ticks);
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(batched.thread_doubles[t * kThreadDoubles + kWarmth], 1.0)
+        << "thread " << t;
+  }
+}
+
+// BurstyDemand cell boundaries and PhasedDemand high/low edges fall inside
+// batches: each edge changes a demand, which the replay re-solves instead
+// of ending the batch.
+TEST(Batching, DemandModelEdgesInsideBatchAreBitIdentical) {
+  RunSpec s;
+  s.engine.os_noise_interval_us = 0;
+  s.jobs = {warming_job("bursty", 2,
+                        std::make_shared<workload::BurstyDemand>(
+                            8.0, 0.4, 3'000.0, 0x5eedULL)),
+            warming_job("phased", 1,
+                        std::make_shared<workload::PhasedDemand>(
+                            14.0, 2.0, 5'000.0, 0.3))};
+  s.jobs[0].cache.cold_demand_boost = 0.0;
+  s.jobs[0].cache.migration_sensitivity = 0.0;
+  s.jobs[1].cache.cold_demand_boost = 0.0;
+  s.until = 400 * s.engine.tick_us;
+  s.tracer = true;
+  const RunSnapshot batched = expect_batching_exact(s, pinned);
+  EXPECT_EQ(batched.batches, 1u) << "a demand edge ended the batch";
+  EXPECT_EQ(batched.batched_ticks, batched.total_ticks - 1);
+  // Well over one edge per 10 ticks: 2 bursty threads cross a cell every
+  // ~3 ticks, the phased thread a phase edge every ~2.5 ticks.
+  EXPECT_GT(batched.replay_resolves, 40u);
+}
+
+// Hyper-threaded machine (4 cores x 2 contexts): a runner's SMT penalty
+// depends on its sibling context's alpha, so a re-solve inside a batch must
+// refresh it; the sibling context's runner also disturbs the shared cache.
+TEST(Batching, SmtMixesAreBitIdentical) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RunSpec s;
+    s.machine.num_cpus = 8;
+    s.machine.threads_per_core = 2;
+    s.engine.seed = seed;
+    s.jobs = workload::random_mix(3, 1 + seed % 2, 2, s.machine.bus, seed).jobs;
+    s.until = 1'200'000;
+    s.tracer = true;
+    SCOPED_TRACE("smt seed " + std::to_string(seed));
+    {
+      SCOPED_TRACE("pinned");
+      EXPECT_GT(expect_batching_exact(s, pinned).batched_ticks, 0u);
+    }
+    {
+      SCOPED_TRACE("linux");
+      EXPECT_GT(expect_batching_exact(s, linux_baseline).batched_ticks, 0u);
+    }
+    {
+      SCOPED_TRACE("managed");
+      EXPECT_GT(expect_batching_exact(s, managed).batched_ticks, 0u);
+    }
   }
 }
 
